@@ -10,9 +10,9 @@ reduction — the kernel must stay >= 2x or the bench fails.
 
 Also records the generation engine's speedup (informational: the
 continuous-batching loop is lighter, so the win is smaller), and the
-million-request scale benchmark ``serving_1M_requests``: the calendar
-queue + merged arrivals + batched completions + summary detail against
-the seed kernel (the legacy loop), gated at >= 10x
+million-request scale benchmark ``serving_1M_requests``: merged
+arrivals + batched completions + summary detail against the seed
+kernel (the legacy loop), gated at >= 10x
 (``sim_kernel_scale_x``, enforced again by the CI bench-trend job).
 """
 
@@ -140,11 +140,11 @@ def test_bench_serving_1M_requests(record_perf):
     """The web-scale row: ~1M requests through one serving fleet.
 
     Seed kernel = the preserved legacy loop (full per-request records,
-    binary heap, every arrival an event).  Scaled kernel = the calendar
-    queue with merged arrivals, batched completions, and summary
-    detail.  Both reduce through :func:`summarize`, and the reports
-    must agree (percentiles exactly, means to the ulp) before any
-    number is recorded — the 10x is a refactor, not an approximation.
+    binary heap, every arrival an event).  Scaled kernel = merged
+    arrivals, batched completions, and summary detail.  Both reduce
+    through :func:`summarize`, and the reports must agree (percentiles
+    exactly, means to the ulp) before any number is recorded — the 10x
+    is a refactor, not an approximation.
     """
     accel = ProTEA.synthesize(SynthParams())
     requests = PoissonArrivals(

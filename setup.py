@@ -11,6 +11,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.22"],
+    # scipy: scipy.special.erf backs the GELU lookup table
+    # (fixedpoint/lut.py) and the float reference (nn/functional.py).
+    install_requires=["numpy>=1.22", "scipy>=1.8"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -20,7 +20,7 @@ from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
 from ..serving.workload import Request
-from .serving import AnalyticServingEstimate, estimate_serving
+from .serving import AnalyticServingEstimate, _estimate, _workload_pass
 
 __all__ = ["FleetProposal", "propose_fleet"]
 
@@ -80,18 +80,19 @@ def propose_fleet(
             "must be >= 1")
 
     estimates: Dict[int, AnalyticServingEstimate] = {}
-    # One service-time model across every candidate fleet: the latency
-    # reports depend only on (model, seq_len), so the memo is shared.
+    # One service-time model and one workload pass across every
+    # candidate fleet: the latency reports depend only on (model,
+    # seq_len), and the model counts, sorted arrivals, and envelope
+    # not on the fleet at all.
     service = ServiceTimeModel(accel, models or MODEL_ZOO)
+    work = _workload_pass(requests, duration_ms)
 
     def meets(n: int) -> bool:
         est = estimates.get(n)
         if est is None:
-            est = estimate_serving(
-                accel, requests, n, batching=batching, models=models,
-                reprogram_latency_ms=reprogram_latency_ms,
-                duration_ms=duration_ms, failures=failures,
-                service=service)
+            est = _estimate(work, n, service, batching=batching,
+                            reprogram_latency_ms=reprogram_latency_ms,
+                            failures=failures)
             estimates[n] = est
         ok = est.p99_ms <= target_p99_ms
         if target_qps is not None:

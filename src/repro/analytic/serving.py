@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
@@ -81,6 +81,39 @@ def _mix_quantile(pairs: Sequence, n: int, q: float) -> float:
         if cum >= rank:
             return value
     return pairs[-1][0]
+
+
+@dataclass(frozen=True)
+class _WorkloadPass:
+    """Fleet-independent facts about one workload, computed once.
+
+    Every fleet candidate of a capacity search shares these: the model
+    counts, the sorted arrival times, their fluid-walk sample, and the
+    rate envelope.
+    """
+
+    counts: Counter
+    times: List[float]
+    fluid_times: List[float]
+    stride: int
+    env: ArrivalEnvelope
+
+
+def _workload_pass(requests: Sequence[Request],
+                   duration_ms: Optional[float] = None,
+                   window_ms: float = 50.0) -> _WorkloadPass:
+    """The single O(n log n) pass over the arrivals an estimate needs."""
+    if not requests:
+        raise ValueError("cannot estimate an empty workload")
+    times = sorted(r.t_ms for r in requests)
+    stride = max(1, math.ceil(len(times) / _MAX_FLUID_POINTS))
+    return _WorkloadPass(
+        counts=Counter(r.model for r in requests),
+        times=times,
+        fluid_times=times[::stride] if stride > 1 else times,
+        stride=stride,
+        env=ArrivalEnvelope.from_times(times, duration_ms=duration_ms,
+                                       window_ms=window_ms))
 
 
 @dataclass(frozen=True)
@@ -175,14 +208,24 @@ def estimate_serving(
     """
     if fleet < 1:
         raise ValueError(f"fleet must be >= 1, got {fleet}")
-    if not requests:
-        raise ValueError("cannot estimate an empty workload")
-
-    policy = batching or no_batching()
     if service is None:
         service = ServiceTimeModel(accel, models or MODEL_ZOO)
-    counts = Counter(r.model for r in requests)
-    n = len(requests)
+    return _estimate(_workload_pass(requests, duration_ms, window_ms),
+                     fleet, service, batching=batching,
+                     reprogram_latency_ms=reprogram_latency_ms,
+                     failures=failures)
+
+
+def _estimate(work: _WorkloadPass, fleet: int, service: ServiceTimeModel,
+              *, batching: Optional[BatchingPolicy],
+              reprogram_latency_ms: float,
+              failures) -> AnalyticServingEstimate:
+    """:func:`estimate_serving` over a precomputed workload pass."""
+    policy = batching or no_batching()
+    counts = work.counts
+    times = work.times
+    env = work.env
+    n = len(times)
     shares: Dict[str, float] = {m: c / n for m, c in counts.items()}
     single = {m: service.batch_service_ms(m, 1) for m in counts}
     max_batch = policy.max_batch
@@ -199,9 +242,6 @@ def estimate_serving(
         availability = mtbf / (mtbf + mttr)
         repair_pad_ms = mttr
 
-    times = sorted(r.t_ms for r in requests)
-    env = ArrivalEnvelope.from_times(times, duration_ms=duration_ms,
-                                     window_ms=window_ms)
     lam_per_ms = env.mean_qps / 1e3
     drain_fluid = fleet * availability  # work-ms drained per ms
 
@@ -218,8 +258,8 @@ def estimate_serving(
     mu_pt = availability / work_pt
     erlangs = lam_per_ms / mu_pt
 
-    stride = max(1, math.ceil(n / _MAX_FLUID_POINTS))
-    fluid_times = times[::stride] if stride > 1 else times
+    stride = work.stride
+    fluid_times = work.fluid_times
     fl_pt, backlog_pt = fluid_waits_ms(fluid_times, work_pt * stride,
                                        drain_fluid)
     fl_pt.sort()

@@ -255,6 +255,18 @@ def _finalize(times_models: Iterable[Tuple[float, str]]) -> List[Request]:
     return [Request(rid=i, t_ms=t, model=m) for i, (t, m) in enumerate(ordered)]
 
 
+def _require_finite(**params: float) -> None:
+    """Reject NaN/inf arrival-process parameters by name.
+
+    A NaN rate slips past every ``<= 0`` range check and yields an empty
+    stream; an infinite one makes ``expovariate`` return 0 forever, so
+    the generator never advances time.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class ArrivalProcess:
     """Base: a seedable generator of a finite open-loop request list."""
 
@@ -266,6 +278,7 @@ class PoissonArrivals(ArrivalProcess):
     """Constant-rate Poisson arrivals at ``qps`` requests/second."""
 
     def __init__(self, qps: float, mix: ModelMix, seed: int = 0):
+        _require_finite(qps=qps)
         if qps <= 0:
             raise ValueError("qps must be positive")
         self.qps = qps
@@ -302,6 +315,8 @@ class BurstyArrivals(ArrivalProcess):
         burst_fraction: float = 0.2,
         dwell_ms: float = 200.0,
     ):
+        _require_finite(qps=qps, burst_factor=burst_factor,
+                        dwell_ms=dwell_ms)
         if qps <= 0 or burst_factor < 1 or not (0 < burst_fraction < 1):
             raise ValueError("need qps > 0, burst_factor >= 1, "
                              "0 < burst_fraction < 1")
@@ -354,6 +369,7 @@ class DiurnalArrivals(ArrivalProcess):
         period_ms: float = 1000.0,
         floor: float = 0.1,
     ):
+        _require_finite(peak_qps=peak_qps, period_ms=period_ms)
         if peak_qps <= 0 or period_ms <= 0 or not (0 <= floor <= 1):
             raise ValueError("need peak_qps > 0, period_ms > 0, 0 <= floor <= 1")
         self.peak_qps = peak_qps
@@ -383,8 +399,11 @@ class TraceReplay(ArrivalProcess):
 
     def __init__(self, events: Sequence[Tuple[float, str]]):
         for t, _ in events:
-            if t < 0:
-                raise ValueError("trace timestamps must be non-negative")
+            # NaN compares false both ways and would break the engines'
+            # stable-sort merge of the arrival stream.
+            if not (math.isfinite(t) and t >= 0):
+                raise ValueError("trace timestamps must be finite and "
+                                 f"non-negative, got {t!r}")
         self.events = list(events)
 
     def generate(self, duration_ms: float = math.inf) -> List[Request]:

@@ -31,8 +31,8 @@ an instance by one token (the decode sweep prices all slots in one
 call), so the event queue holds at most one step event per instance,
 never one per token.  The arrival stream never enters the event queue
 either: arrivals are stable-sorted once and merged against the
-:class:`~repro.sim.calendar.CalendarQueue` of step/fault events during
-the drain.  ``detail="summary"`` additionally skips all record, trace,
+kernel's :class:`~repro.sim.kernel.EventQueue` of step/fault events
+during the drain.  ``detail="summary"`` additionally skips all record, trace,
 and sample materialization (see :mod:`repro.sim.summary`).
 
 Observer contract: attached observers receive every trace tuple —

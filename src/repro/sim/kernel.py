@@ -9,10 +9,11 @@ the shared mechanics into one place:
 * :class:`EventQueue` — a binary heap of ``(t_ms, priority, seq,
   payload)`` tuples.  Ties at equal timestamps break on ``(priority,
   insertion sequence)``, so a run is a *pure function* of its inputs —
-  the property behind the trace-identity golden tests.  Production
-  runs actually use :class:`repro.sim.calendar.CalendarQueue`, a
-  bucketed queue with the identical pop order (property-tested); the
-  heap remains the reference implementation and oracle.
+  the property behind the trace-identity golden tests.  The engines
+  merge their sorted arrival streams against the queue instead of
+  pushing one event per arrival, so it only ever holds O(instances)
+  engine events; at that size ``heapq``'s C push/pop costs less than
+  any pure-Python bucketed queue.
 * :class:`SimClock` — monotone simulated time in milliseconds.
 * :class:`Simulation` — the driver: pops events in deterministic order
   and dispatches them to handlers registered per event kind.  Entities
@@ -44,12 +45,11 @@ make the observed stream a lie, so it raises ``RuntimeError``.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .calendar import CalendarQueue
 from .rng import RngStreams
 
 __all__ = ["Event", "EventQueue", "SimClock", "Simulation"]
@@ -67,34 +67,40 @@ class EventQueue:
     same time and priority pop in push order.  That total order is what
     makes replays of a seeded scenario bit-identical.
 
-    Hot-path contract: ``counter`` is public precisely so
-    performance-critical engines may build event tuples ``(t, prio,
-    next(queue.counter), payload)`` themselves — the tuple layout and
-    the shared counter ARE the kernel's determinism guarantee,
-    whichever path pushes.  :class:`~repro.sim.calendar.CalendarQueue`
-    honours the same contract and adds a ``head`` attribute for O(1)
-    peeks; engines that merge an external sorted stream against the
-    queue rely on it.
+    Hot-path contract: the :attr:`head` attribute always holds the
+    next event tuple (``None`` when empty), so engines that merge an
+    external sorted stream against the queue peek the frontier with
+    one attribute load, and :meth:`pop` returns exactly ``head``.
+    ``counter`` is the shared insertion sequence: the tuple layout
+    ``(t, prio, next(queue.counter), payload)`` and that counter ARE
+    the kernel's determinism guarantee.
     """
 
-    __slots__ = ("heap", "counter")
+    __slots__ = ("heap", "counter", "head")
 
     def __init__(self) -> None:
         self.heap: List[Event] = []
         self.counter = count()
+        #: The next event to pop (``None`` when empty).
+        self.head: Optional[Event] = None
 
     def push(self, t_ms: float, priority: int, payload: tuple) -> None:
         """Schedule ``payload`` at ``t_ms`` (stable within a priority)."""
-        heapq.heappush(self.heap, (t_ms, priority, next(self.counter),
-                                   payload))
+        heap = self.heap
+        heappush(heap, (t_ms, priority, next(self.counter), payload))
+        self.head = heap[0]
 
     def pop(self) -> Event:
         """Remove and return the next event in deterministic order."""
-        return heapq.heappop(self.heap)
+        heap = self.heap
+        event = heappop(heap)
+        self.head = heap[0] if heap else None
+        return event
 
     def peek_ms(self) -> Optional[float]:
         """Timestamp of the next event (``None`` when empty)."""
-        return self.heap[0][0] if self.heap else None
+        head = self.head
+        return head[0] if head is not None else None
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -132,7 +138,7 @@ class Simulation:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.queue = CalendarQueue()
+        self.queue = EventQueue()
         self.clock = SimClock()
         self.rng = RngStreams(seed)
         #: Flat event log ``(kind, t_ms, ...)`` — the replayable trace.

@@ -28,10 +28,11 @@ memoized per ``(model, batch size)``, switch accounting compares
 resident-model names instead of re-programming the accelerator every
 batch, and the built-in schedulers run as inlined scans.  The arrival
 stream never enters the event queue at all: arrivals are stable-sorted
-once and merged against the :class:`~repro.sim.calendar.CalendarQueue`
-of engine events during the drain (one heap push+pop per *batch*, not
-per request).  ``detail="summary"`` additionally skips all record,
-trace, and sample materialization (see :mod:`repro.sim.summary`).
+once and merged against the kernel's
+:class:`~repro.sim.kernel.EventQueue` of engine events during the drain
+(one heap push+pop per *batch*, not per request).  ``detail="summary"``
+additionally skips all record, trace, and sample materialization (see
+:mod:`repro.sim.summary`).
 Same math, same floats, same order — just less work per event (the
 serving benchmarks pin the speedups).
 
@@ -164,11 +165,15 @@ class _ServeDispatcher(Dispatcher):
             return inst
         edge = now_ms + _EPS
         if self._least_loaded:
+            # The first idle, empty instance wins outright: nothing
+            # earlier in the scan beat backlog 0, nothing later can.
             best = None
             best_b = 0
             for inst in candidates:
                 b = len(inst.queue) + (1 if inst.busy_until > edge else 0)
                 if best is None or b < best_b:
+                    if not b:
+                        return inst
                     best, best_b = inst, b
             return best
         if self._affinity:
@@ -688,17 +693,16 @@ class ServeEngine(Simulation):
                     push(t_fail, _P_FAULT, ("fail", inst))
 
         if (not failing and not dispatcher.restricted and decide is None
-                and timeout_ms is None and not observing):
+                and not observing):
             # The web-scale drain: everything the per-event closures
             # below do, inlined into one loop.  The preconditions kill
             # whole event classes — no failures means no fault/recover
             # events, no stale epochs, and pick() never parks a request
-            # (``pending`` stays empty); no batching timeout means no
-            # check events.  The engine queue therefore holds only
-            # completion events (priority ``_P_FREE``), so the merge
-            # test against the arrival stream is a plain timestamp
-            # compare: a free at an arrival's exact timestamp pops
-            # first, same as the heap's priority order.
+            # (``pending`` stays empty).  The engine queue therefore
+            # holds only completion (``_P_FREE``) and batching-deadline
+            # (``_P_CHECK``) events: a free at an arrival's exact
+            # timestamp pops first, a check after it — the heap's
+            # priority order.
             rr = dispatcher._round_robin
             rr_next = 0
             n_inst = len(instances)
@@ -707,11 +711,14 @@ class ServeEngine(Simulation):
 
             def dispatch(inst: _Inst, now: float) -> None:
                 # try_dispatch with the idle/queue checks hoisted to
-                # the call sites and the no-timeout policy constant-
-                # folded: size is the same-model head prefix, capped.
+                # the call sites and the stock policy's decide() folded
+                # in: size is the same-model head prefix, capped, or a
+                # deadline check while a partial batch waits out its
+                # timeout.
                 nonlocal queued_total, area, prev_t, cur_depth
                 iq = inst.queue
-                model = iq[0].model
+                head = iq[0]
+                model = head.model
                 if max_batch == 1:
                     size = 1
                 else:
@@ -720,6 +727,17 @@ class ServeEngine(Simulation):
                         if size >= max_batch or r.model != model:
                             break
                         size += 1
+                    if (size < max_batch and timeout_ms is not None
+                            and now - head.t_ms + _EPS < timeout_ms):
+                        if not inst.pending_check:
+                            deadline = head.t_ms + timeout_ms
+                            target = deadline - check_jitter
+                            if target <= now + _EPS:
+                                target = deadline
+                            push(target if target > now else now, _P_CHECK,
+                                 ("check", inst))
+                            inst.pending_check = True
+                        return
                 batch = [iq.popleft() for _ in range(size)]
                 queued_total -= size
                 if inst.resident != model:
@@ -741,9 +759,17 @@ class ServeEngine(Simulation):
                 prev_t = now
                 cur_depth = queued_total  # depth fell: max unchanged
 
-            def free_event(head: tuple) -> None:
+            def engine_event(head: tuple) -> None:
                 nonlocal makespan, total_done
                 inst: _Inst = head[3][1]
+                if head[1] != _P_FREE:
+                    # Deadline check: may be stale, so re-derive idle
+                    # state and queue from scratch like on_check does.
+                    inst.pending_check = False
+                    now = head[0]
+                    if inst.queue and inst.busy_until <= now + _EPS:
+                        dispatch(inst, now)
+                    return
                 model, size, t_disp, t_done, batch = inst.in_flight
                 inst.in_flight = None
                 inst.batches += 1
@@ -769,9 +795,11 @@ class ServeEngine(Simulation):
             for req in arrivals:
                 ta = req.t_ms
                 head = queue.head
-                while head is not None and head[0] <= ta:
+                while head is not None and (
+                        head[0] < ta
+                        or (head[0] == ta and head[1] == _P_FREE)):
                     pop()
-                    free_event(head)
+                    engine_event(head)
                     head = queue.head
                 if rr:
                     inst = instances[rr_next]
@@ -794,9 +822,9 @@ class ServeEngine(Simulation):
             while queue:
                 head = queue.head
                 pop()
-                free_event(head)
+                engine_event(head)
             # Nothing in the fast drain reads the clock; leave it at
-            # the last event time for the shared epilogue.
+            # the last arrival or completion for the shared epilogue.
             self.clock.now_ms = max(
                 makespan, arrivals[-1].t_ms if arrivals else 0.0)
             return self._build_summary(

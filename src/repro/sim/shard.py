@@ -1,7 +1,7 @@
 """Sharded simulation: a partitioned fleet runs as independent cells.
 
 A single event loop over a large fleet is serial by construction — the
-calendar queue pops one event at a time no matter how many instances
+event queue pops one event at a time no matter how many instances
 exist.  Sharding breaks the fleet into *cells* that share nothing: each
 cell owns a contiguous slice of the :class:`~repro.sim.fleet.FleetSpec`,
 a deterministic stripe of the request stream, and an independent

@@ -143,6 +143,20 @@ def test_propose_fleet_matches_linear_scan(default_accel, scenario):
     assert proposal.estimate.p99_ms <= target
 
 
+@pytest.mark.parametrize("scenario", ("poisson", "bursty", "diurnal"))
+def test_propose_fleet_shared_workload_pass_is_an_identity(default_accel,
+                                                           scenario):
+    """``propose_fleet`` walks the workload once and shares it across
+    candidates; its estimate must equal a standalone
+    :func:`estimate_serving` at the proposed fleet, field for field."""
+    requests = SCENARIOS[scenario]()
+    kwargs = dict(batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
+    proposal = propose_fleet(default_accel, requests, 75.0,
+                             max_instances=16, **kwargs)
+    assert proposal.estimate == estimate_serving(
+        default_accel, requests, proposal.instances, **kwargs)
+
+
 def test_propose_fleet_infeasible_flags_instead_of_raising(default_accel):
     requests = SCENARIOS["poisson"]()
     proposal = propose_fleet(default_accel, requests, 1e-6,

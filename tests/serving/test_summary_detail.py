@@ -18,11 +18,13 @@ import pytest
 
 from repro.obs import KernelProfiler, MetricsSampler, TraceRecorder, compose
 from repro.serving import (
+    BatchingPolicy,
     ClusterSimulator,
     GenerationClusterSimulator,
     LengthSampler,
     ModelMix,
     PoissonArrivals,
+    TraceReplay,
     attach_generation_lengths,
     fixed_size,
     simulate,
@@ -86,22 +88,57 @@ def _gen_requests(accel, qps=30, seed=404, duration=500.0, lseed=77):
         seed=lseed, max_total=accel.synth.max_seq_len)
 
 
+class _CappedTimeout(BatchingPolicy):
+    """A custom ``decide``: dispatch at most 2, ignoring the timeout."""
+
+    def decide(self, prefix_len, head_wait_ms):
+        return min(prefix_len, 2)
+
+
 class TestServeSummary:
-    def test_fast_drain_matches_full(self, default_accel):
-        """Round-robin + fixed-size batching takes the inlined drain."""
+    @pytest.mark.parametrize("scheduler", ["round-robin", "least-loaded",
+                                           "model-affinity"])
+    @pytest.mark.parametrize("batching,jitter", [
+        (fixed_size(4), 0.0),
+        (timeout(4, 2.0), 0.0),
+        (timeout(8, 2.0), 0.5),
+    ], ids=["fixed-4", "timeout-4", "timeout-8-jitter"])
+    def test_fast_drain_matches_full(self, default_accel, scheduler,
+                                     batching, jitter):
+        """Stock batching (deadline checks included) takes the inlined
+        drain on a 3-model mix with switch penalties."""
         reqs = _requests()
-        sim = ClusterSimulator(default_accel, 3, scheduler="round-robin",
-                               batching=fixed_size(4))
+        sim = ClusterSimulator(default_accel, 3, scheduler=scheduler,
+                               batching=batching, reprogram_latency_ms=2.0,
+                               check_jitter_ms=jitter)
         full = summarize(sim.run(reqs), slo_ms=20.0)
         s = sim.run(reqs, detail="summary")
         assert isinstance(s, ServeSummary)
         assert_reports_match(full, summarize(s, slo_ms=20.0))
 
+    @pytest.mark.parametrize("scheduler", ["round-robin", "least-loaded",
+                                           "model-affinity"])
+    def test_fast_drain_equal_time_ties(self, default_accel, scheduler):
+        """Arrivals on a 0.25 ms grid land exactly on 2 ms deadlines, so
+        check-vs-arrival ordering at equal timestamps is exercised."""
+        rng = random.Random(5)
+        models = MIX.names
+        reqs = TraceReplay([(0.25 * k, rng.choice(models))
+                            for k in range(1200)]).generate()
+        sim = ClusterSimulator(default_accel, 3, scheduler=scheduler,
+                               batching=timeout(4, 2.0),
+                               reprogram_latency_ms=2.0)
+        full = summarize(sim.run(reqs), slo_ms=20.0)
+        assert_reports_match(
+            full, summarize(sim.run(reqs, detail="summary"), slo_ms=20.0))
+
     def test_generic_drain_matches_full(self, default_accel):
-        """Timeout batching (check events) uses the closure drain."""
+        """A custom ``decide`` keeps the closure drain."""
         reqs = _requests(qps=300, seed=7)
         sim = ClusterSimulator(default_accel, 3, scheduler="model-affinity",
-                               batching=timeout(4, 2.0),
+                               batching=_CappedTimeout(
+                                   name="capped", max_batch=4,
+                                   timeout_ms=2.0),
                                reprogram_latency_ms=5.0)
         full = summarize(sim.run(reqs))
         assert_reports_match(full, summarize(sim.run(reqs, detail="summary")))

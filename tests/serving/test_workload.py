@@ -64,6 +64,13 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonArrivals(0, MIX)
 
+    @pytest.mark.parametrize("qps", [math.inf, math.nan])
+    def test_rejects_nonfinite_rate(self, qps):
+        """Regression: inf never advanced time (expovariate(inf) == 0)
+        and NaN slipped past ``qps <= 0`` into an empty stream."""
+        with pytest.raises(ValueError, match="qps must be finite"):
+            PoissonArrivals(qps, MIX)
+
 
 class TestBursty:
     def test_deterministic_and_bounded(self):
@@ -87,6 +94,15 @@ class TestBursty:
         with pytest.raises(ValueError):
             BurstyArrivals(100, MIX, burst_fraction=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"qps": math.inf}, {"qps": math.nan},
+        {"burst_factor": math.inf}, {"dwell_ms": math.nan},
+    ])
+    def test_rejects_nonfinite_parameters(self, kwargs):
+        params = {"qps": 100.0, **kwargs}
+        with pytest.raises(ValueError, match="must be finite"):
+            BurstyArrivals(mix=MIX, **params)
+
 
 class TestDiurnal:
     def test_deterministic(self):
@@ -99,6 +115,15 @@ class TestDiurnal:
         assert gen.rate_qps(500) == pytest.approx(100)    # mid-period peak
         for t in range(0, 1000, 50):
             assert 10 - 1e-9 <= gen.rate_qps(t) <= 100 + 1e-9
+
+    @pytest.mark.parametrize("kwargs", [
+        {"peak_qps": math.inf}, {"peak_qps": math.nan},
+        {"period_ms": math.nan}, {"period_ms": math.inf},
+    ])
+    def test_rejects_nonfinite_parameters(self, kwargs):
+        params = {"peak_qps": 100.0, **kwargs}
+        with pytest.raises(ValueError, match="must be finite"):
+            DiurnalArrivals(mix=MIX, **params)
 
     def test_peak_heavier_than_valley(self):
         reqs = DiurnalArrivals(400, MIX, seed=0, period_ms=2000).generate(2000)
@@ -125,6 +150,13 @@ class TestTraceReplay:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             TraceReplay([(-1.0, "a")])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        """Regression: a NaN timestamp compares false both ways and
+        broke the engines' stable-sort merge of the arrival stream."""
+        with pytest.raises(ValueError, match="finite"):
+            TraceReplay([(1.0, "a"), (t, "a")])
 
 
 class TestDegenerateDistributions:

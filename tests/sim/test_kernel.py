@@ -3,8 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import EventQueue, RngStreams, SimClock, Simulation
+
+# Timestamps from a small grid force same-t collisions; priorities from
+# {0..3} mirror the engines' priority bands.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5, 64.0, 1e6]),
+                  st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=200,
+)
 
 
 class TestEventQueue:
@@ -34,6 +48,51 @@ class TestEventQueue:
         assert q.peek_ms() is None and not q
         q.push(3.5, 1, ("x",))
         assert q.peek_ms() == 3.5 and len(q) == 1 and bool(q)
+
+    def test_head_tracks_min_and_pop_returns_head(self):
+        q = EventQueue()
+        assert q.head is None
+        q.push(2.0, 0, ("b",))
+        q.push(1.0, 0, ("a",))
+        head = q.head
+        assert head[0] == 1.0
+        assert q.pop() is head
+        assert q.head[0] == 2.0
+
+    def test_drain_then_refill(self):
+        q = EventQueue()
+        q.push(3.0, 0, ("first",))
+        assert q.pop()[3][0] == "first"
+        assert q.head is None and q.peek_ms() is None
+        q.push(1e6, 0, ("second",))
+        assert q.peek_ms() == 1e6
+        assert q.pop()[3][0] == "second"
+
+    def test_pop_empty_raises(self):
+        with pytest.raises(IndexError):
+            EventQueue().pop()
+
+    @given(ops=_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_property_pop_order(self, ops):
+        """Interleaved pushes and pops follow the total tuple order, and
+        ``head`` is always the next event to pop."""
+        q = EventQueue()
+        pending = []
+        seq = 0
+        for op in ops:
+            if op[0] == "push":
+                _, t, prio = op
+                q.push(t, prio, ("ev", seq))
+                pending.append((t, prio, seq))
+                seq += 1
+            elif pending:
+                expected = min(pending)
+                pending.remove(expected)
+                assert q.head[:3] == expected
+                assert q.pop()[:3] == expected
+            assert len(q) == len(pending)
+            assert q.head == (min(q.heap) if pending else None)
 
 
 class TestSimClock:
