@@ -1,64 +1,59 @@
-"""CalendarQueue vs the reference heap: pop-order identity.
+"""Pop-order tests for the simulation's event calendar (``EventQueue``).
 
-The calendar queue may only ever be a *speed* change — the six
-trace-identity goldens pin engine output byte-for-byte, so any
-divergence from ``EventQueue``'s pop order is a correctness bug.  The
-property tests here drive randomized event streams through both queues
-and assert identical pop sequences, deliberately covering the cases
-where a bucketed design could drift from a heap:
+The six trace-identity goldens pin engine output byte-for-byte, so the
+queue's pop order is part of the determinism contract: events pop by
+``(t_ms, priority, insertion sequence)``.  The property tests here
+drive randomized push/pop streams through the queue and compare every
+pop, and the ``head`` frontier, with a plain reference model, covering:
 
 * equal timestamps with equal priorities (must pop in push order);
-* pushes landing at or behind the cursor's live bucket (insort path);
-* far-future pushes beyond the calendar window (overflow heap) and the
-  year-rollover rebase that scatters them back into buckets;
-* interleaved push/pop (drain-to-empty then refill re-anchors the
-  year).
+* priority breaking timestamp ties;
+* interleaved push/pop, including draining to empty and refilling;
+* near, same-tick and far-future timestamps in one stream.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarQueue, EventQueue
+from repro.sim import EventQueue
 
 
-def _drain_both(ops, bucket_ms=1.0, n_buckets=8):
-    """Feed identical push/pop op streams to both queues; compare pops."""
-    ref = EventQueue()
-    cal = CalendarQueue(bucket_ms=bucket_ms, n_buckets=n_buckets)
-    ref_pops = []
-    cal_pops = []
-    pending = 0
+def _check_against_model(ops):
+    """Feed a push/pop op stream to the queue; after every op, compare
+    the pops, ``head`` and length with a reference list of pending
+    ``(t_ms, priority, seq)`` keys."""
+    q = EventQueue()
+    pending = []
+    seq = 0
     for op in ops:
         if op[0] == "push":
             _, t, prio = op
-            payload = ("ev", t, prio)
-            ref.push(t, prio, payload)
-            cal.push(t, prio, payload)
-            pending += 1
+            q.push(t, prio, ("ev", seq))
+            pending.append((t, prio, seq))
+            seq += 1
         elif pending:
-            ref_pops.append(ref.pop())
-            cal_pops.append(cal.pop())
-            pending -= 1
+            expected = min(pending)
+            pending.remove(expected)
+            assert q.head[:3] == expected
+            assert q.pop()[:3] == expected
+        assert len(q) == len(pending)
+        assert q.head == (min(q.heap) if pending else None)
     while pending:
-        ref_pops.append(ref.pop())
-        cal_pops.append(cal.pop())
-        pending -= 1
-    assert cal_pops == ref_pops
-    assert len(cal) == len(ref) == 0
-    assert not cal and not ref
+        expected = min(pending)
+        pending.remove(expected)
+        assert q.pop()[:3] == expected
+    assert len(q) == 0 and not q and q.head is None
 
 
 # Timestamps from a small grid force same-t collisions; priorities from
-# {0..3} mirror the engines' priority bands.  A tiny calendar (8 × 1ms
-# buckets) makes overflow and year rollover routine, not rare.
+# {0..3} mirror the engines' priority bands.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
                   st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 7.5, 8.0,
-                                   15.5, 16.0, 64.0, 1000.0]),
+                                   15.5, 16.0, 64.0, 1000.0, 1e6]),
                   st.integers(min_value=0, max_value=3)),
         st.tuples(st.just("pop")),
     ),
@@ -70,7 +65,7 @@ class TestPopOrderIdentity:
     @given(ops=_ops)
     @settings(max_examples=200, deadline=None)
     def test_property_identity(self, ops):
-        _drain_both(ops)
+        _check_against_model(ops)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -79,8 +74,7 @@ class TestPopOrderIdentity:
         ops = []
         for _ in range(300):
             if rng.random() < 0.6:
-                # Mix near-future (in-bucket), same-tick, and far-future
-                # (overflow) timestamps.
+                # Mix near-future, same-tick and far-future timestamps.
                 t = rng.choice([
                     rng.randrange(8) * 1.0,
                     rng.randrange(32) * 0.5,
@@ -89,97 +83,38 @@ class TestPopOrderIdentity:
                 ops.append(("push", t, rng.randrange(4)))
             else:
                 ops.append(("pop",))
-        _drain_both(ops)
+        _check_against_model(ops)
 
     def test_same_timestamp_same_priority_pops_in_push_order(self):
-        cal = CalendarQueue()
+        q = EventQueue()
         for tag in ("a", "b", "c"):
-            cal.push(5.0, 1, ("ev", tag))
-        assert [cal.pop()[3][1] for _ in range(3)] == ["a", "b", "c"]
+            q.push(5.0, 1, ("ev", tag))
+        assert [q.pop()[3][1] for _ in range(3)] == ["a", "b", "c"]
 
     def test_priority_breaks_timestamp_ties(self):
-        cal = CalendarQueue()
-        cal.push(5.0, 2, ("low",))
-        cal.push(5.0, 0, ("high",))
-        cal.push(5.0, 1, ("mid",))
-        assert [cal.pop()[3][0] for _ in range(3)] == [
+        q = EventQueue()
+        q.push(5.0, 2, ("low",))
+        q.push(5.0, 0, ("high",))
+        q.push(5.0, 1, ("mid",))
+        assert [q.pop()[3][0] for _ in range(3)] == [
             "high", "mid", "low"]
-
-    def test_overflow_boundary_exact_limit(self):
-        # First push anchors the year at t=0; the window is [0, 8).
-        # Events at exactly t=8.0 and beyond must take the overflow
-        # path and still pop in global order after the rollover.
-        cal = CalendarQueue(bucket_ms=1.0, n_buckets=8)
-        cal.push(0.0, 0, ("now",))
-        cal.push(8.0, 0, ("edge",))
-        cal.push(7.999, 0, ("in-window",))
-        cal.push(800.0, 0, ("far",))
-        got = [cal.pop()[3][0] for _ in range(4)]
-        assert got == ["now", "in-window", "edge", "far"]
-
-    def test_drain_then_refill_rebases(self):
-        cal = CalendarQueue(bucket_ms=1.0, n_buckets=8)
-        cal.push(3.0, 0, ("first",))
-        assert cal.pop()[3][0] == "first"
-        assert cal.head is None
-        # Far from the original anchor: the empty-queue push re-anchors
-        # the year, so this lands in a bucket, not the overflow.
-        cal.push(1e6, 0, ("second",))
-        assert cal.peek_ms() == 1e6
-        assert cal.pop()[3][0] == "second"
-
-    def test_push_behind_cursor_joins_live_bucket(self):
-        cal = CalendarQueue(bucket_ms=1.0, n_buckets=8)
-        cal.push(0.0, 0, ("a",))
-        cal.push(5.0, 0, ("c",))
-        assert cal.pop()[3][0] == "a"
-        # The cursor has moved to t=5; a "now" push at t=5 with a lower
-        # priority number must still pop first (insort into the live
-        # bucket ahead of the current head).
-        cal.push(5.0, 1, ("d",))
-        cal.push(5.0, 0, ("b2",))  # same priority as head, later seq
-        assert [cal.pop()[3][0] for _ in range(3)] == ["c", "b2", "d"]
 
 
 class TestQueueSurface:
-    def test_head_tracks_min_and_pop_returns_head(self):
-        cal = CalendarQueue()
-        assert cal.head is None
-        assert cal.peek_ms() is None
-        cal.push(2.0, 0, ("b",))
-        cal.push(1.0, 0, ("a",))
-        head = cal.head
-        assert head[0] == 1.0
-        assert cal.peek_ms() == 1.0
-        assert cal.pop() is head
-        assert cal.peek_ms() == 2.0
-
     def test_len_and_bool(self):
-        cal = CalendarQueue()
-        assert len(cal) == 0
-        cal.push(1.0, 0, ("a",))
-        cal.push(2.0, 0, ("b",))
-        assert len(cal) == 2 and bool(cal)
-        cal.pop()
-        cal.pop()
-        assert len(cal) == 0 and not cal
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            CalendarQueue().pop()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_ms=0.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_ms=-1.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(n_buckets=0)
+        q = EventQueue()
+        assert len(q) == 0 and not q
+        q.push(1.0, 0, ("a",))
+        q.push(2.0, 0, ("b",))
+        assert len(q) == 2 and bool(q)
+        q.pop()
+        q.pop()
+        assert len(q) == 0 and not q
 
     def test_counter_is_shared_sequence(self):
         # Engines build tuples with next(queue.counter) themselves; the
         # attribute must exist and be the tie-break sequence.
-        cal = CalendarQueue()
-        assert next(cal.counter) == 0
-        cal.push(1.0, 0, ("a",))
-        assert cal.pop()[2] == 1
+        q = EventQueue()
+        assert next(q.counter) == 0
+        q.push(1.0, 0, ("a",))
+        assert q.pop()[2] == 1

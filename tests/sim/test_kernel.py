@@ -3,22 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim import EventQueue, RngStreams, SimClock, Simulation
-
-# Timestamps from a small grid force same-t collisions; priorities from
-# {0..3} mirror the engines' priority bands.
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"),
-                  st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5, 64.0, 1e6]),
-                  st.integers(min_value=0, max_value=3)),
-        st.tuples(st.just("pop")),
-    ),
-    max_size=200,
-)
 
 
 class TestEventQueue:
@@ -71,28 +57,6 @@ class TestEventQueue:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-
-    @given(ops=_ops)
-    @settings(max_examples=200, deadline=None)
-    def test_property_pop_order(self, ops):
-        """Interleaved pushes and pops follow the total tuple order, and
-        ``head`` is always the next event to pop."""
-        q = EventQueue()
-        pending = []
-        seq = 0
-        for op in ops:
-            if op[0] == "push":
-                _, t, prio = op
-                q.push(t, prio, ("ev", seq))
-                pending.append((t, prio, seq))
-                seq += 1
-            elif pending:
-                expected = min(pending)
-                pending.remove(expected)
-                assert q.head[:3] == expected
-                assert q.pop()[:3] == expected
-            assert len(q) == len(pending)
-            assert q.head == (min(q.heap) if pending else None)
 
 
 class TestSimClock:
