@@ -448,26 +448,38 @@ def _build_workload(args, mix):
     from .serving import (BurstyArrivals, DiurnalArrivals, PoissonArrivals,
                           TraceReplay)
 
-    if args.scenario == "poisson":
-        gen = PoissonArrivals(args.qps, mix, seed=args.seed)
-    elif args.scenario == "bursty":
-        gen = BurstyArrivals(args.qps, mix, seed=args.seed)
-    elif args.scenario == "diurnal":
-        gen = DiurnalArrivals(args.qps, mix, seed=args.seed,
-                              period_ms=args.duration_ms)
-    else:  # trace
-        from .nn import MODEL_ZOO
+    # Reject what would otherwise surface as a traceback, a hang
+    # (infinite duration) or an empty report (non-positive duration).
+    if not 0 < args.duration_ms < float("inf"):
+        raise SystemExit(
+            f"--duration-ms must be positive and finite, got "
+            f"{args.duration_ms:g}")
+    if args.instances < 1:
+        raise SystemExit(
+            f"--instances must be >= 1, got {args.instances}")
+    try:
+        if args.scenario == "poisson":
+            gen = PoissonArrivals(args.qps, mix, seed=args.seed)
+        elif args.scenario == "bursty":
+            gen = BurstyArrivals(args.qps, mix, seed=args.seed)
+        elif args.scenario == "diurnal":
+            gen = DiurnalArrivals(args.qps, mix, seed=args.seed,
+                                  period_ms=args.duration_ms)
+        else:  # trace
+            from .nn import MODEL_ZOO
 
-        if not args.trace_file:
-            raise SystemExit("--scenario trace requires --trace-file")
-        with open(args.trace_file) as fh:
-            events = [(float(t), str(m)) for t, m in json.load(fh)]
-        unknown = sorted({m for _, m in events} - set(MODEL_ZOO))
-        if unknown:
-            raise SystemExit(
-                f"trace names unknown models {unknown}; "
-                f"available: {sorted(MODEL_ZOO)}")
-        gen = TraceReplay(events)
+            if not args.trace_file:
+                raise SystemExit("--scenario trace requires --trace-file")
+            with open(args.trace_file) as fh:
+                events = [(float(t), str(m)) for t, m in json.load(fh)]
+            unknown = sorted({m for _, m in events} - set(MODEL_ZOO))
+            if unknown:
+                raise SystemExit(
+                    f"trace names unknown models {unknown}; "
+                    f"available: {sorted(MODEL_ZOO)}")
+            gen = TraceReplay(events)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     return gen.generate(args.duration_ms)
 
 

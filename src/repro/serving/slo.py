@@ -186,119 +186,25 @@ class ServingReport:
         return out
 
 
-def _time_weighted_mean(samples: Sequence[tuple], horizon_ms: float) -> float:
-    """Mean of a step function sampled at its change points."""
-    if not samples or horizon_ms <= 0:
-        return 0.0
-    area, depth, prev_t = 0.0, 0, 0.0
-    for t, d in samples:
-        area += depth * (t - prev_t)
-        depth, prev_t = d, t
-    area += depth * max(0.0, horizon_ms - prev_t)
-    return area / horizon_ms
-
-
 def summarize(result: Union[SimulationResult, ServeSummary],
               slo_ms: Optional[float] = None,
               watch: Optional[dict] = None) -> ServingReport:
     """Reduce a simulation to its serving metrics.
 
-    Accepts either a full :class:`SimulationResult` or the
-    pre-accumulated :class:`~repro.sim.summary.ServeSummary` of a
-    ``detail="summary"`` run; both produce the same report (percentile
-    fields bit-identical, means equal to the last ulp — the summary
-    path accumulates in completion order, not record order).
+    :class:`~repro.sim.summary.ServeSummary` is the one form this
+    reducer reads: a ``detail="summary"`` run returns it, and a full
+    :class:`SimulationResult` is converted into it first.  Both detail
+    levels therefore produce the same report — percentile fields
+    bit-identical (exact latency multisets), means equal to the last
+    ulp (the engine folds sums in completion order, the conversion in
+    rid order).
 
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run; it rides along into the report
     (and its ``--json``/text renders) untouched.
     """
-    if isinstance(result, ServeSummary):
-        return _summarize_serve_summary(result, slo_ms, watch)
-    recs = result.records
-    horizon = result.makespan_ms
-    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    latencies = [r.latency_ms for r in recs]
-
-    def attainment(lats: Sequence[float]) -> Optional[float]:
-        if slo_ms is None or not lats:
-            return None
-        return sum(1 for v in lats if v <= slo_ms) / len(lats)
-
-    per_model: Dict[str, ModelMetrics] = {}
-    for model in sorted({r.model for r in recs}):
-        mrecs = [r for r in recs if r.model == model]
-        lats = [r.latency_ms for r in mrecs]
-        per_model[model] = ModelMetrics(
-            model=model,
-            count=len(mrecs),
-            throughput_rps=len(mrecs) / horizon_s,
-            mean_latency_ms=sum(lats) / len(lats),
-            p50_ms=percentile(lats, 50),
-            p95_ms=percentile(lats, 95),
-            p99_ms=percentile(lats, 99),
-            mean_wait_ms=sum(r.wait_ms for r in mrecs) / len(mrecs),
-            mean_batch_size=sum(r.batch_size for r in mrecs) / len(mrecs),
-            slo_attainment=attainment(lats),
-        )
-
-    degraded_count = p99_degraded = None
-    if result.availability is not None:
-        touched = [r.latency_ms for r in recs if r.degraded or r.retries]
-        degraded_count = sum(1 for r in recs if r.degraded)
-        # An undominatable NaN would poison Pareto fronts: when no
-        # request saw a degraded fleet, the degraded tail IS the tail.
-        p99_degraded = (percentile(touched, 99) if touched
-                        else _pct(latencies, 99))
-
-    busy = sum(i.busy_ms for i in result.instances)
-    return ServingReport(
-        total_requests=len(recs),
-        horizon_ms=horizon,
-        throughput_rps=len(recs) / horizon_s if recs else 0.0,
-        utilization=(busy / (result.n_instances * horizon)
-                     if horizon > 0 else 0.0),
-        mean_latency_ms=(sum(latencies) / len(latencies)
-                         if latencies else math.nan),
-        p50_ms=_pct(latencies, 50),
-        p95_ms=_pct(latencies, 95),
-        p99_ms=_pct(latencies, 99),
-        mean_wait_ms=(sum(r.wait_ms for r in recs) / len(recs)
-                      if recs else math.nan),
-        mean_queue_depth=_time_weighted_mean(result.queue_samples, horizon),
-        max_queue_depth=max((d for _, d in result.queue_samples), default=0),
-        total_switches=result.total_switches,
-        total_reprogram_time_ms=result.total_reprogram_time_ms,
-        scheduler=result.scheduler,
-        batching=result.batching,
-        n_instances=result.n_instances,
-        slo_ms=slo_ms,
-        slo_attainment=attainment(latencies),
-        per_model=per_model,
-        instances=list(result.instances),
-        availability=result.availability,
-        total_failures=result.total_failures,
-        total_retries=result.total_retries,
-        degraded_count=degraded_count,
-        p99_degraded_ms=p99_degraded,
-        watch=watch,
-    )
-
-
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
-
-
-def _summarize_serve_summary(s: ServeSummary,
-                             slo_ms: Optional[float],
-                             watch: Optional[dict]) -> ServingReport:
-    """:func:`summarize` for the accumulated ``detail="summary"`` form.
-
-    Percentiles come from the exact latency multisets the engine
-    collected, so they match the full path bit-for-bit; sums were
-    folded in completion order, so means agree to the last ulp.
-    """
+    s = (result if isinstance(result, ServeSummary)
+         else _serve_summary(result))
     horizon = s.makespan_ms
     horizon_s = horizon / 1e3 if horizon > 0 else math.nan
     model_names = sorted(s.model_lats)
@@ -344,6 +250,8 @@ def _summarize_serve_summary(s: ServeSummary,
     if s.availability is not None:
         touched = s.touched_lats or []
         degraded_count = s.degraded_count
+        # An undominatable NaN would poison Pareto fronts: when no
+        # request saw a degraded fleet, the degraded tail IS the tail.
         p99_degraded = (percentile(touched, 99) if touched
                         else (_nearest_rank(all_sorted, 99) if n
                               else math.nan))
@@ -379,6 +287,48 @@ def _summarize_serve_summary(s: ServeSummary,
         p99_degraded_ms=p99_degraded,
         watch=watch,
     )
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted non-empty list."""
+    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
+
+
+def _serve_summary(result: SimulationResult) -> ServeSummary:
+    """A full serve result in the accumulated form :func:`summarize`
+    reads: one pass over the records in rid order, one over the
+    queue-depth samples."""
+    recs = result.records
+    s = ServeSummary(
+        total_requests=len(recs),
+        makespan_ms=result.makespan_ms,
+        n_instances=result.n_instances,
+        scheduler=result.scheduler,
+        batching=result.batching,
+        instances=list(result.instances),
+        availability=result.availability,
+        total_failures=result.total_failures,
+        total_retries=result.total_retries,
+    )
+    m_lats, m_wait, m_sq = s.model_lats, s.model_wait_sum, s.model_batch_sq
+    for r in recs:
+        model = r.model
+        if model not in m_lats:
+            m_lats[model] = []
+            m_wait[model] = 0.0
+            m_sq[model] = 0
+        t0 = r.t_arrival_ms
+        m_lats[model].append(r.t_complete_ms - t0)
+        m_wait[model] += r.t_dispatch_ms - t0
+        m_sq[model] += r.batch_size
+    if result.availability is not None:
+        s.touched_lats = [r.latency_ms for r in recs
+                          if r.degraded or r.retries]
+        s.degraded_count = sum(1 for r in recs if r.degraded)
+    sample = s._sample
+    for point in result.queue_samples:
+        sample(point)
+    return s
 
 
 @dataclass(frozen=True)
@@ -487,90 +437,20 @@ def summarize_generation(
 ) -> GenerationServingReport:
     """Reduce a generation simulation to its TTFT/TPOT/goodput metrics.
 
-    Accepts either a full :class:`GenerationSimulationResult` or the
-    pre-accumulated :class:`~repro.sim.summary.GenerationSummary` of a
-    ``detail="summary"`` run; both produce the same report (percentile
-    fields bit-identical, means equal to the last ulp — the summary
-    path accumulates in completion order, not record order).
+    :class:`~repro.sim.summary.GenerationSummary` is the one form this
+    reducer reads: a ``detail="summary"`` run returns it, and a full
+    :class:`GenerationSimulationResult` is converted into it first.
+    Both detail levels therefore produce the same report — percentile
+    fields bit-identical (exact multisets), means equal to the last
+    ulp (the engine folds sums in completion order, the conversion in
+    rid order).  Goodput walks the parallel per-request columns
+    (``ttfts``, ``req_tpots``, ``out_tokens``).
 
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run (see :func:`summarize`).
     """
-    if isinstance(result, GenerationSummary):
-        return _summarize_generation_summary(result, ttft_slo_ms,
-                                             tpot_slo_ms, watch)
-    recs = result.records
-    horizon = result.makespan_ms
-    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    ttfts = [r.ttft_ms for r in recs]
-    tpots = [r.tpot_ms for r in recs if r.output_tokens > 1]
-    lats = [r.latency_ms for r in recs]
-
-    def meets(r) -> bool:
-        if ttft_slo_ms is not None and r.ttft_ms > ttft_slo_ms:
-            return False
-        if (tpot_slo_ms is not None and r.output_tokens > 1
-                and r.tpot_ms > tpot_slo_ms):
-            return False
-        return True
-
-    slo_active = ttft_slo_ms is not None or tpot_slo_ms is not None
-    good = [r for r in recs if meets(r)] if slo_active else []
-    busy = sum(i.busy_ms for i in result.instances)
-    mean = lambda xs: sum(xs) / len(xs) if xs else math.nan  # noqa: E731
-    return GenerationServingReport(
-        total_requests=len(recs),
-        total_tokens=result.total_tokens,
-        horizon_ms=horizon,
-        throughput_rps=len(recs) / horizon_s if recs else 0.0,
-        tokens_per_s=(result.total_tokens / horizon_s if recs else 0.0),
-        utilization=(busy / (result.n_instances * horizon)
-                     if horizon > 0 else 0.0),
-        mean_ttft_ms=mean(ttfts),
-        p50_ttft_ms=_pct(ttfts, 50),
-        p95_ttft_ms=_pct(ttfts, 95),
-        p99_ttft_ms=_pct(ttfts, 99),
-        mean_tpot_ms=mean(tpots),
-        p99_tpot_ms=_pct(tpots, 99),
-        mean_latency_ms=mean(lats),
-        p99_latency_ms=_pct(lats, 99),
-        mean_wait_ms=mean([r.wait_ms for r in recs]),
-        mean_queue_depth=_time_weighted_mean(result.queue_samples, horizon),
-        total_switches=result.total_switches,
-        total_reprogram_time_ms=result.total_reprogram_time_ms,
-        scheduler=result.scheduler,
-        n_instances=result.n_instances,
-        slots=result.slots,
-        ttft_slo_ms=ttft_slo_ms,
-        tpot_slo_ms=tpot_slo_ms,
-        slo_attainment=(len(good) / len(recs)
-                        if slo_active and recs else None),
-        goodput_tokens_per_s=(
-            sum(r.output_tokens for r in good) / horizon_s
-            if slo_active and recs else None),
-        instances=list(result.instances),
-        availability=result.availability,
-        total_failures=result.total_failures,
-        total_retries=result.total_retries,
-        total_preemptions=result.total_preemptions,
-        watch=watch,
-    )
-
-
-def _summarize_generation_summary(
-    s: GenerationSummary,
-    ttft_slo_ms: Optional[float],
-    tpot_slo_ms: Optional[float],
-    watch: Optional[dict],
-) -> GenerationServingReport:
-    """:func:`summarize_generation` for the accumulated summary form.
-
-    Percentiles come from the exact TTFT/TPOT/latency multisets the
-    engine collected, so they match the full path bit-for-bit; sums
-    were folded in completion order, so means agree to the last ulp.
-    Goodput walks the parallel per-request columns (``ttfts``,
-    ``req_tpots``, ``out_tokens``) instead of record objects.
-    """
+    s = (result if isinstance(result, GenerationSummary)
+         else _generation_summary(result))
     horizon = s.makespan_ms
     horizon_s = horizon / 1e3 if horizon > 0 else math.nan
     n = s.total_requests
@@ -625,6 +505,40 @@ def _summarize_generation_summary(
         total_preemptions=s.total_preemptions,
         watch=watch,
     )
+
+
+def _generation_summary(
+        result: GenerationSimulationResult) -> GenerationSummary:
+    """A full generation result in the accumulated form
+    :func:`summarize_generation` reads: one pass over the records in
+    rid order, one over the queue-depth samples."""
+    s = GenerationSummary(
+        total_requests=len(result.records),
+        total_tokens=result.total_tokens,
+        makespan_ms=result.makespan_ms,
+        n_instances=result.n_instances,
+        slots=result.slots,
+        scheduler=result.scheduler,
+        instances=list(result.instances),
+        availability=result.availability,
+        total_failures=result.total_failures,
+        total_retries=result.total_retries,
+        total_preemptions=result.total_preemptions,
+    )
+    for r in result.records:
+        out = r.output_tokens
+        tpot = r.tpot_ms
+        s.ttfts.append(r.ttft_ms)
+        s.lats.append(r.latency_ms)
+        s.wait_sum += r.wait_ms
+        s.out_tokens.append(out)
+        s.req_tpots.append(tpot)
+        if out > 1:
+            s.tpots.append(tpot)
+    sample = s._sample
+    for point in result.queue_samples:
+        sample(point)
+    return s
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,20 @@ batch, and the built-in schedulers run as inlined scans.  The arrival
 stream never enters the event queue at all: arrivals are stable-sorted
 once and merged against the kernel's
 :class:`~repro.sim.kernel.EventQueue` of engine events during the drain
-(one heap push+pop per *batch*, not per request).  ``detail="summary"``
-additionally skips all record, trace, and sample materialization (see
-:mod:`repro.sim.summary`).
+(one heap push+pop per *batch*, not per request).
 Same math, same floats, same order — just less work per event (the
 serving benchmarks pin the speedups).
+
+One drain, chosen sinks: :meth:`ServeEngine.run` holds one copy of
+every handler and of the merge loop for both detail levels.
+``detail="full"`` binds sinks that log the trace, the queue-depth
+samples and the completed batches; ``detail="summary"`` binds sinks
+that fold the same events into a :class:`~repro.sim.summary.
+ServeSummary` (no record, trace or sample materialization).  The one
+specialization is :meth:`ServeEngine._drain_plain`, the same drain
+inlined for summary runs with no failures, an unrestricted fleet,
+stock batching and no observer or profiler; ``run`` selects it from
+the run's own configuration.
 
 Observer contract: an attached observer sees every trace tuple —
 ``("arrive", t, rid, model, inst)`` (``inst == -1`` while parked),
@@ -51,8 +60,8 @@ byte-identical with any observer attached.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import attrgetter
-from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
@@ -62,6 +71,7 @@ from ..serving.workload import Request
 from .failures import FailureInjector, FailurePlan
 from .fleet import Dispatcher, FleetSpec, InstanceSpec
 from .kernel import Simulation
+from .summary import ServeSummary
 
 __all__ = ["ServeEngine"]
 
@@ -260,44 +270,44 @@ class ServeEngine(Simulation):
     def run(self, requests: Sequence[Request], detail: str = "full"):
         """Simulate the stream to completion and return the result.
 
-        ``detail="full"`` returns a
-        :class:`~repro.serving.cluster.SimulationResult` with one
-        record per request — the byte-identity surface the goldens pin.
-        ``detail="summary"`` skips record/trace/sample materialization
-        and returns a :class:`~repro.sim.summary.ServeSummary`
-        accumulated on the fly: the web-scale path.  Percentiles from
-        either detail level are bit-identical; summary means may differ
-        in the last ulp (float accumulation order).
+        One closure drain serves both detail levels; only its three
+        sinks differ, and they are chosen once before the loop:
+
+        * ``detail="full"`` returns a
+          :class:`~repro.serving.cluster.SimulationResult` with one
+          record per request — the byte-identity surface the goldens
+          pin.  ``emit`` appends to the trace (and feeds the observer),
+          ``sample`` appends queue-depth samples, and every completed
+          batch joins the list the records are built from.
+        * ``detail="summary"`` returns a
+          :class:`~repro.sim.summary.ServeSummary` accumulated on the
+          fly: the web-scale path.  ``emit`` is the observer (or
+          ``None``, so no tuple is built when nobody listens),
+          ``sample`` folds the queue-depth integral, and completed
+          batches update the latency multisets and sums.
+
+        Percentiles from either detail level are bit-identical; summary
+        means may differ in the last ulp (float accumulation order).
+        Plain-fleet summary runs take the one specialization,
+        :meth:`_drain_plain` (selection rule below).
 
         Import note: the result dataclasses live in
         :mod:`repro.serving.cluster` (the public façade), imported
         lazily to keep the package graph acyclic.
         """
-        if detail == "summary":
-            return self._run_summary(requests)
-        if detail != "full":
+        if detail not in ("full", "summary"):
             raise ValueError(
                 f"unknown detail level {detail!r}: use 'full' or "
                 "'summary'")
-        from ..serving.cluster import (InstanceStats, RequestRecord,
-                                       SimulationResult)
-
+        summary = detail == "summary"
+        if summary and self.profiler is not None:
+            raise ValueError(
+                "KernelProfiler requires detail='full': profiles are "
+                "taken on the full drain only")
         self._started = True
         queue = self.queue
         push = queue.push
-        trace = self.trace
-        # Observer wiring: with nothing attached, ``emit`` *is*
-        # ``trace.append`` (the pre-hook fast path, unchanged); with an
-        # observer, every trace tuple is forwarded after being logged.
-        # ``note`` carries observer-only bookkeeping events (requeues)
-        # that never enter the trace — trace bytes stay identical.
         note = self.observer
-        if note is None:
-            emit = trace.append
-        else:
-            def emit(event, _append=trace.append, _obs=note):
-                _append(event)
-                _obs(event)
         instances = self.instances
         dispatcher = self.dispatcher
         batching = self.batching
@@ -309,6 +319,23 @@ class ServeEngine(Simulation):
         check_jitter = self.check_jitter_ms
         failing = self.failures is not None
 
+        # Arrivals never enter the event queue: a stable sort by
+        # timestamp IS their pop order (equal-time arrivals keep input
+        # order, exactly the heap's same-priority seq tie-break), so
+        # the drain below merges this pre-sorted stream against a
+        # queue that only carries engine events.
+        arrivals = sorted(requests, key=_BY_T)
+
+        if summary and not (failing or dispatcher.restricted
+                            or decide is not None or note is not None):
+            # The one specialization, selected from the run's own
+            # configuration: summary detail, no failures, an
+            # unrestricted fleet, stock batching, no observer and (as
+            # summary detail implies) no profiler.  Those conditions
+            # remove whole event classes, so the drain inlines what is
+            # left; capacity-plan probes run here.
+            return self._drain_plain(arrivals)
+
         # Dispatch: the capability/health filter only matters when a
         # fleet is restricted or failures are live; otherwise bind the
         # policy scan directly (hot path).
@@ -319,21 +346,11 @@ class ServeEngine(Simulation):
                      _fast=dispatcher._pick_fast, _all=instances):
                 return _fast(_all, request, now_ms)
 
-        samples: List[Tuple[float, int]] = []
         queued_total = 0
-        #: Completed batches: (model, idx, size, t_disp, t_done, batch).
-        done: List[tuple] = []
         #: Requests parked while every capable instance is down.
         pending: List[Request] = []
         retries: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
-
-        # Arrivals never enter the event queue: a stable sort by
-        # timestamp IS their pop order (equal-time arrivals keep input
-        # order, exactly the heap's same-priority seq tie-break), so
-        # the drain below merges this pre-sorted stream against a
-        # queue that only carries engine events.
-        arrivals = sorted(requests, key=_BY_T)
 
         injector: Optional[FailureInjector] = None
         if failing:
@@ -346,7 +363,66 @@ class ServeEngine(Simulation):
                 if t_fail is not None:
                     push(t_fail, _P_FAULT, ("fail", inst))
 
-        sample_append = samples.append
+        # The sinks.  ``note`` carries observer-only bookkeeping events
+        # (requeues) that never enter the trace at either detail level.
+        if summary:
+            acc = ServeSummary(0, 0.0, len(instances), self.scheduler.name,
+                               batching.name,
+                               degraded_count=0 if failing else None,
+                               touched_lats=[] if failing else None)
+            emit = note
+            sample = acc._sample
+            m_lats = acc.model_lats
+            m_wait = acc.model_wait_sum
+            m_sq = acc.model_batch_sq
+            touched = acc.touched_lats
+
+            def complete(flight: tuple) -> None:
+                model, _idx, size, t_disp, t_done, batch = flight
+                lats = m_lats.get(model)
+                if lats is None:
+                    lats = m_lats[model] = []
+                    m_wait[model] = 0.0
+                    m_sq[model] = 0
+                append = lats.append
+                wait = 0.0
+                if failing:
+                    for req in batch:
+                        t0 = req.t_ms
+                        lat = t_done - t0
+                        append(lat)
+                        wait += t_disp - t0
+                        rid = req.rid
+                        deg = degraded.get(rid, False)
+                        if deg:
+                            acc.degraded_count += 1
+                        if deg or retries.get(rid):
+                            touched.append(lat)
+                else:
+                    for req in batch:
+                        t0 = req.t_ms
+                        append(t_done - t0)
+                        wait += t_disp - t0
+                m_wait[model] += wait
+                m_sq[model] += size * size
+                acc.total_requests += size
+                acc.makespan_ms = t_done  # free events pop in time order
+        else:
+            trace = self.trace
+            samples: List[Tuple[float, int]] = []
+            #: Completed batches: (model, idx, size, t_disp, t_done, batch).
+            done: List[tuple] = []
+            sample = samples.append
+            complete = done.append
+            # With nothing attached, ``emit`` *is* ``trace.append`` (the
+            # pre-hook fast path); with an observer, every trace tuple
+            # is forwarded after being logged.
+            if note is None:
+                emit = trace.append
+            else:
+                def emit(event, _append=trace.append, _obs=note):
+                    _append(event)
+                    _obs(event)
 
         def try_dispatch(inst: _Inst, now: float) -> None:
             nonlocal queued_total
@@ -400,13 +476,14 @@ class ServeEngine(Simulation):
                 switch_ms = 0.0
             inst.deploys += 1
             total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-            complete = now + total_ms
-            inst.busy_until = complete
+            complete_ms = now + total_ms
+            inst.busy_until = complete_ms
             inst.busy_ms += total_ms
-            inst.in_flight = (model, size, now, complete, batch)
-            emit(("dispatch", now, inst.idx, model, size, switch_ms))
-            push(complete, _P_FREE, ("free", inst, inst.epoch))
-            sample_append((now, queued_total + len(pending)))
+            inst.in_flight = (model, inst.idx, size, now, complete_ms, batch)
+            if emit is not None:
+                emit(("dispatch", now, inst.idx, model, size, switch_ms))
+            push(complete_ms, _P_FREE, ("free", inst, inst.epoch))
+            sample((now, queued_total + len(pending)))
 
         def route(req: Request, now: float) -> None:
             """Queue ``req`` like a fresh arrival (requeue path).
@@ -436,26 +513,29 @@ class ServeEngine(Simulation):
             inst = pick(req, now)
             if inst is None:
                 pending.append(req)
-                emit(("arrive", now, req.rid, req.model, -1))
-                sample_append((now, queued_total + len(pending)))
+                if emit is not None:
+                    emit(("arrive", now, req.rid, req.model, -1))
+                sample((now, queued_total + len(pending)))
                 return
             inst.queue.append(req)
             queued_total += 1
             inst.last_model = req.model
-            emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample_append((now, queued_total + len(pending)))
+            if emit is not None:
+                emit(("arrive", now, req.rid, req.model, inst.idx))
+            sample((now, queued_total + len(pending)))
             try_dispatch(inst, now)
 
         def on_free(payload: tuple, now: float) -> None:
             inst: _Inst = payload[1]
             if payload[2] != inst.epoch:
                 return  # batch aborted by a failure; event is stale
-            model, size, t_disp, t_done, batch = inst.in_flight
+            flight = inst.in_flight
             inst.in_flight = None
             inst.batches += 1
-            inst.requests += size
-            done.append((model, inst.idx, size, t_disp, t_done, batch))
-            emit(("free", now, inst.idx))
+            inst.requests += flight[2]
+            complete(flight)
+            if emit is not None:
+                emit(("free", now, inst.idx))
             try_dispatch(inst, now)
 
         def on_check(payload: tuple, now: float) -> None:
@@ -474,7 +554,8 @@ class ServeEngine(Simulation):
             inst.down_since = now
             inst.failures += 1
             dispatcher.down_count += 1
-            emit(("fail", now, inst.idx))
+            if emit is not None:
+                emit(("fail", now, inst.idx))
             lost: List[Request] = []
             if inst.in_flight is not None and inst.busy_until > now + _EPS:
                 # Abort the in-flight batch: refund the unserved tail of
@@ -482,7 +563,7 @@ class ServeEngine(Simulation):
                 inst.busy_ms -= inst.busy_until - now
                 inst.busy_until = now
                 inst.epoch += 1
-                batch = inst.in_flight[4]
+                batch = inst.in_flight[5]
                 inst.in_flight = None
                 for req in batch:
                     retries[req.rid] = retries.get(req.rid, 0) + 1
@@ -491,7 +572,7 @@ class ServeEngine(Simulation):
             queued = list(inst.queue)
             inst.queue.clear()
             queued_total -= len(queued)
-            sample_append((now, queued_total + len(pending)))
+            sample((now, queued_total + len(pending)))
             for req in lost:
                 route(req, now)
             for req in queued:
@@ -505,7 +586,8 @@ class ServeEngine(Simulation):
             inst.down = False
             inst.downtime_ms += now - inst.down_since
             dispatcher.down_count -= 1
-            emit(("recover", now, inst.idx))
+            if emit is not None:
+                emit(("recover", now, inst.idx))
             assert injector is not None
             t_fail = injector.next_failure_ms(inst.idx, now)
             if t_fail is not None:
@@ -514,533 +596,27 @@ class ServeEngine(Simulation):
                 parked, pending[:] = list(pending), []
                 for req in parked:
                     route(req, now)
+
+        def handle(payload: tuple, now: float) -> None:
+            kind = payload[0]
+            if kind == "free":
+                on_free(payload, now)
+            elif kind == "check":
+                on_check(payload, now)
+            elif kind == "fail":
+                on_fail(payload, now)
+            else:
+                on_recover(payload, now)
 
         # Merged drain: an engine event pops ahead of the next arrival
         # only when strictly earlier, or at the same timestamp with the
         # free priority — the single engine priority below arrivals.
         # Check (2) and fault (3) events at an arrival's timestamp sort
         # after every arrival at that time, exactly as in the heap.
-        # The profiled variant is a separate loop so the bare path
-        # never pays for the timing.
+        handle = self._profiled(handle)
+        on_arrival = self._profiled(on_arrival, "arrival")
         clock = self.clock
         pop = queue.pop
-
-        def handle(payload: tuple, now: float) -> None:
-            kind = payload[0]
-            if kind == "free":
-                on_free(payload, now)
-            elif kind == "check":
-                on_check(payload, now)
-            elif kind == "fail":
-                on_fail(payload, now)
-            else:
-                on_recover(payload, now)
-
-        if self.profiler is not None:
-            record = self.profiler.record
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_FREE)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    t0 = perf_counter()
-                    handle(payload, now)
-                    record(payload[0], perf_counter() - t0)
-                    head = queue.head
-                clock.now_ms = ta
-                t0 = perf_counter()
-                on_arrival(req, ta)
-                record("arrival", perf_counter() - t0)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now
-                t0 = perf_counter()
-                handle(payload, now)
-                record(payload[0], perf_counter() - t0)
-        else:
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_FREE)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    handle(payload, now)
-                    head = queue.head
-                clock.now_ms = ta
-                on_arrival(req, ta)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now  # monotone by pop order
-                handle(payload, now)
-        self._finish_observer()
-
-        records = [
-            RequestRecord(
-                rid=req.rid, model=model, instance=idx, batch_size=size,
-                t_arrival_ms=req.t_ms, t_dispatch_ms=t_disp,
-                t_complete_ms=t_done,
-                retries=retries.get(req.rid, 0),
-                degraded=degraded.get(req.rid, False),
-            )
-            for model, idx, size, t_disp, t_done, batch in done
-            for req in batch
-        ]
-        records.sort(key=lambda r: r.rid)
-        makespan = max((r.t_complete_ms for r in records), default=0.0)
-        availability: Optional[float] = None
-        if failing:
-            horizon = max(makespan, self.clock.now_ms)
-            availability = (
-                1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)
-        return SimulationResult(
-            records=records,
-            instances=[
-                InstanceStats(
-                    index=i.idx, requests=i.requests, batches=i.batches,
-                    busy_ms=i.busy_ms, reprogram_count=i.deploys,
-                    switch_count=i.switch_count,
-                    reprogram_time_ms=i.reprogram_time_ms,
-                    failures=i.failures, downtime_ms=i.downtime_ms,
-                ) for i in instances
-            ],
-            n_instances=len(instances),
-            makespan_ms=makespan,
-            queue_samples=samples,
-            trace=trace,
-            scheduler=self.scheduler.name,
-            batching=self.batching.name,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
-            total_retries=sum(retries.values()),
-        )
-
-    # ------------------------------------------------------------------
-    def _run_summary(self, requests: Sequence[Request]):
-        """The ``detail="summary"`` drain: accumulate, don't materialize.
-
-        Same event order, same dispatch decisions, same floats per
-        event as the full path — but no ``RequestRecord`` objects, no
-        trace list, no queue-depth sample list.  Latency multisets are
-        collected per model (percentiles stay exact); wait/batch-size
-        sums and the queue-depth integral are folded in as events fire.
-        An attached observer still sees every trace tuple (tuples are
-        built only when someone is listening); profilers need the full
-        drain and are rejected.
-        """
-        if self.profiler is not None:
-            raise ValueError(
-                "KernelProfiler requires detail='full': the summary "
-                "drain has no per-event handler boundaries to time")
-        self._started = True
-        queue = self.queue
-        push = queue.push
-        note = self.observer
-        observing = note is not None
-        instances = self.instances
-        dispatcher = self.dispatcher
-        batching = self.batching
-        max_batch = batching.max_batch
-        timeout_ms = batching.timeout_ms
-        decide = None if type(batching) is BatchingPolicy else batching.decide
-        check_jitter = self.check_jitter_ms
-        failing = self.failures is not None
-
-        if failing or dispatcher.restricted:
-            pick = dispatcher.pick
-        else:
-            def pick(request, now_ms,
-                     _fast=dispatcher._pick_fast, _all=instances):
-                return _fast(_all, request, now_ms)
-
-        # Per-model accumulators (latency lists keep the exact multiset
-        # for order statistics; sums replace the full path's record
-        # scans).
-        m_lats: Dict[str, List[float]] = {}
-        m_wait: Dict[str, float] = {}
-        m_sq: Dict[str, int] = {}
-        # Queue-depth step integral, same add order as
-        # slo._time_weighted_mean over the full sample list.
-        area = 0.0
-        prev_t = 0.0
-        cur_depth = 0
-        max_depth = 0
-        makespan = 0.0
-        total_done = 0
-        degraded_done = 0
-        queued_total = 0
-        pending: List[Request] = []
-        retries: Dict[int, int] = {}
-        degraded: Dict[int, bool] = {}
-        touched: Optional[List[float]] = [] if failing else None
-
-        arrivals = sorted(requests, key=_BY_T)
-
-        injector: Optional[FailureInjector] = None
-        if failing:
-            horizon = (self.failure_horizon_ms
-                       if self.failure_horizon_ms is not None
-                       else arrivals[-1].t_ms if arrivals else 0.0)
-            injector = FailureInjector(self.failures, horizon)
-            for inst in instances:
-                t_fail = injector.next_failure_ms(inst.idx, 0.0)
-                if t_fail is not None:
-                    push(t_fail, _P_FAULT, ("fail", inst))
-
-        if (not failing and not dispatcher.restricted and decide is None
-                and not observing):
-            # The web-scale drain: everything the per-event closures
-            # below do, inlined into one loop.  The preconditions kill
-            # whole event classes — no failures means no fault/recover
-            # events, no stale epochs, and pick() never parks a request
-            # (``pending`` stays empty).  The engine queue therefore
-            # holds only completion (``_P_FREE``) and batching-deadline
-            # (``_P_CHECK``) events: a free at an arrival's exact
-            # timestamp pops first, a check after it — the heap's
-            # priority order.
-            rr = dispatcher._round_robin
-            rr_next = 0
-            n_inst = len(instances)
-            pick_fast = dispatcher._pick_fast
-            pop = queue.pop
-
-            def dispatch(inst: _Inst, now: float) -> None:
-                # try_dispatch with the idle/queue checks hoisted to
-                # the call sites and the stock policy's decide() folded
-                # in: size is the same-model head prefix, capped, or a
-                # deadline check while a partial batch waits out its
-                # timeout.
-                nonlocal queued_total, area, prev_t, cur_depth
-                iq = inst.queue
-                head = iq[0]
-                model = head.model
-                if max_batch == 1:
-                    size = 1
-                else:
-                    size = 0
-                    for r in iq:
-                        if size >= max_batch or r.model != model:
-                            break
-                        size += 1
-                    if (size < max_batch and timeout_ms is not None
-                            and now - head.t_ms + _EPS < timeout_ms):
-                        if not inst.pending_check:
-                            deadline = head.t_ms + timeout_ms
-                            target = deadline - check_jitter
-                            if target <= now + _EPS:
-                                target = deadline
-                            push(target if target > now else now, _P_CHECK,
-                                 ("check", inst))
-                            inst.pending_check = True
-                        return
-                batch = [iq.popleft() for _ in range(size)]
-                queued_total -= size
-                if inst.resident != model:
-                    inst.cost.svc.config(model)  # validate, then reside
-                    inst.resident = model
-                    inst.switch_count += 1
-                    inst.reprogram_time_ms += inst.reprogram_ms
-                    switch_ms = inst.reprogram_ms
-                else:
-                    switch_ms = 0.0
-                inst.deploys += 1
-                total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-                complete = now + total_ms
-                inst.busy_until = complete
-                inst.busy_ms += total_ms
-                inst.in_flight = (model, size, now, complete, batch)
-                push(complete, _P_FREE, ("free", inst, inst.epoch))
-                area += cur_depth * (now - prev_t)
-                prev_t = now
-                cur_depth = queued_total  # depth fell: max unchanged
-
-            def engine_event(head: tuple) -> None:
-                nonlocal makespan, total_done
-                inst: _Inst = head[3][1]
-                if head[1] != _P_FREE:
-                    # Deadline check: may be stale, so re-derive idle
-                    # state and queue from scratch like on_check does.
-                    inst.pending_check = False
-                    now = head[0]
-                    if inst.queue and inst.busy_until <= now + _EPS:
-                        dispatch(inst, now)
-                    return
-                model, size, t_disp, t_done, batch = inst.in_flight
-                inst.in_flight = None
-                inst.batches += 1
-                inst.requests += size
-                lats = m_lats.get(model)
-                if lats is None:
-                    lats = m_lats[model] = []
-                    m_wait[model] = 0.0
-                    m_sq[model] = 0
-                append = lats.append
-                wait = 0.0
-                for r in batch:
-                    t0 = r.t_ms
-                    append(t_done - t0)
-                    wait += t_disp - t0
-                m_wait[model] += wait
-                m_sq[model] += size * size
-                total_done += size
-                makespan = t_done  # free events pop in time order
-                if inst.queue:
-                    dispatch(inst, t_done)
-
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_FREE)):
-                    pop()
-                    engine_event(head)
-                    head = queue.head
-                if rr:
-                    inst = instances[rr_next]
-                    rr_next += 1
-                    if rr_next == n_inst:
-                        rr_next = 0
-                else:
-                    inst = pick_fast(instances, req, ta)
-                inst.queue.append(req)
-                queued_total += 1
-                inst.last_model = req.model
-                d = queued_total
-                area += cur_depth * (ta - prev_t)
-                prev_t = ta
-                cur_depth = d
-                if d > max_depth:
-                    max_depth = d
-                if inst.busy_until <= ta + _EPS:
-                    dispatch(inst, ta)
-            while queue:
-                head = queue.head
-                pop()
-                engine_event(head)
-            # Nothing in the fast drain reads the clock; leave it at
-            # the last arrival or completion for the shared epilogue.
-            self.clock.now_ms = max(
-                makespan, arrivals[-1].t_ms if arrivals else 0.0)
-            return self._build_summary(
-                total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
-                cur_depth, max_depth, retries, degraded_done, touched,
-                failing)
-
-        def sample(now: float, d: int) -> None:
-            nonlocal area, prev_t, cur_depth, max_depth
-            area += cur_depth * (now - prev_t)
-            prev_t = now
-            cur_depth = d
-            if d > max_depth:
-                max_depth = d
-
-        def try_dispatch(inst: _Inst, now: float) -> None:
-            nonlocal queued_total
-            if inst.down or inst.busy_until > now + _EPS or not inst.queue:
-                return
-            iq = inst.queue
-            head = iq[0]
-            model = head.model
-            if max_batch == 1:
-                prefix = 1
-            else:
-                prefix = 0
-                for req in iq:
-                    if prefix >= max_batch or req.model != model:
-                        break
-                    prefix += 1
-            if decide is not None:
-                size = decide(prefix, now - head.t_ms)
-            elif prefix >= max_batch:
-                size = max_batch
-            elif timeout_ms is None:
-                size = prefix
-            elif now - head.t_ms + _EPS >= timeout_ms:
-                size = prefix
-            else:
-                size = None
-            if size is None:
-                if not inst.pending_check:
-                    assert timeout_ms is not None
-                    deadline = head.t_ms + timeout_ms
-                    target = deadline - check_jitter
-                    if target <= now + _EPS:
-                        target = deadline
-                    push(target if target > now else now, _P_CHECK,
-                         ("check", inst))
-                    inst.pending_check = True
-                return
-            batch = [iq.popleft() for _ in range(size)]
-            queued_total -= size
-            switched = inst.resident != model
-            if switched:
-                inst.cost.svc.config(model)  # validate before residency
-                inst.resident = model
-                inst.switch_count += 1
-                inst.reprogram_time_ms += inst.reprogram_ms
-                switch_ms = inst.reprogram_ms
-            else:
-                switch_ms = 0.0
-            inst.deploys += 1
-            total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-            complete = now + total_ms
-            inst.busy_until = complete
-            inst.busy_ms += total_ms
-            inst.in_flight = (model, size, now, complete, batch)
-            if observing:
-                note(("dispatch", now, inst.idx, model, size, switch_ms))
-            push(complete, _P_FREE, ("free", inst, inst.epoch))
-            sample(now, queued_total + len(pending))
-
-        def route(req: Request, now: float) -> None:
-            nonlocal queued_total
-            inst = pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if observing:
-                    note(("requeue", now, req.rid, -1))
-                return
-            inst.queue.append(req)
-            queued_total += 1
-            inst.last_model = req.model
-            if observing:
-                note(("requeue", now, req.rid, inst.idx))
-            try_dispatch(inst, now)
-
-        def on_arrival(req: Request, now: float) -> None:
-            nonlocal queued_total
-            if failing and dispatcher.down_count:
-                degraded[req.rid] = True
-            inst = pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if observing:
-                    note(("arrive", now, req.rid, req.model, -1))
-                sample(now, queued_total + len(pending))
-                return
-            inst.queue.append(req)
-            queued_total += 1
-            inst.last_model = req.model
-            if observing:
-                note(("arrive", now, req.rid, req.model, inst.idx))
-            sample(now, queued_total + len(pending))
-            try_dispatch(inst, now)
-
-        def on_free(payload: tuple, now: float) -> None:
-            nonlocal makespan, total_done, degraded_done
-            inst: _Inst = payload[1]
-            if payload[2] != inst.epoch:
-                return  # batch aborted by a failure; event is stale
-            model, size, t_disp, t_done, batch = inst.in_flight
-            inst.in_flight = None
-            inst.batches += 1
-            inst.requests += size
-            if observing:
-                note(("free", now, inst.idx))
-            lats = m_lats.get(model)
-            if lats is None:
-                lats = m_lats[model] = []
-                m_wait[model] = 0.0
-                m_sq[model] = 0
-            append = lats.append
-            wait = 0.0
-            if failing:
-                for req in batch:
-                    t0 = req.t_ms
-                    lat = t_done - t0
-                    append(lat)
-                    wait += t_disp - t0
-                    rid = req.rid
-                    deg = degraded.get(rid, False)
-                    if deg:
-                        degraded_done += 1
-                    if deg or retries.get(rid):
-                        touched.append(lat)
-            else:
-                for req in batch:
-                    t0 = req.t_ms
-                    append(t_done - t0)
-                    wait += t_disp - t0
-            m_wait[model] += wait
-            m_sq[model] += size * size
-            total_done += size
-            makespan = t_done  # free events pop in time order
-            try_dispatch(inst, now)
-
-        def on_check(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            inst.pending_check = False
-            try_dispatch(inst, now)
-
-        def on_fail(payload: tuple, now: float) -> None:
-            nonlocal queued_total
-            inst: _Inst = payload[1]
-            inst.down = True
-            inst.down_since = now
-            inst.failures += 1
-            dispatcher.down_count += 1
-            if observing:
-                note(("fail", now, inst.idx))
-            lost: List[Request] = []
-            if inst.in_flight is not None and inst.busy_until > now + _EPS:
-                inst.busy_ms -= inst.busy_until - now
-                inst.busy_until = now
-                inst.epoch += 1
-                batch = inst.in_flight[4]
-                inst.in_flight = None
-                for req in batch:
-                    retries[req.rid] = retries.get(req.rid, 0) + 1
-                lost.extend(batch)
-            inst.resident = None  # weights are lost with the instance
-            queued = list(inst.queue)
-            inst.queue.clear()
-            queued_total -= len(queued)
-            sample(now, queued_total + len(pending))
-            for req in lost:
-                route(req, now)
-            for req in queued:
-                route(req, now)
-            assert injector is not None
-            push(now + injector.repair_duration_ms(inst.idx), _P_FAULT,
-                 ("recover", inst))
-
-        def on_recover(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            inst.down = False
-            inst.downtime_ms += now - inst.down_since
-            dispatcher.down_count -= 1
-            if observing:
-                note(("recover", now, inst.idx))
-            assert injector is not None
-            t_fail = injector.next_failure_ms(inst.idx, now)
-            if t_fail is not None:
-                push(t_fail, _P_FAULT, ("fail", inst))
-            if pending:
-                parked, pending[:] = list(pending), []
-                for req in parked:
-                    route(req, now)
-
-        # Same merged drain as the full path (see run()).
-        clock = self.clock
-        pop = queue.pop
-
-        def handle(payload: tuple, now: float) -> None:
-            kind = payload[0]
-            if kind == "free":
-                on_free(payload, now)
-            elif kind == "check":
-                on_check(payload, now)
-            elif kind == "fail":
-                on_fail(payload, now)
-            else:
-                on_recover(payload, now)
-
         for req in arrivals:
             ta = req.t_ms
             head = queue.head
@@ -1058,34 +634,224 @@ class ServeEngine(Simulation):
             clock.now_ms = now  # monotone by pop order
             handle(payload, now)
         self._finish_observer()
-        return self._build_summary(
-            total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
-            cur_depth, max_depth, retries, degraded_done, touched, failing)
 
-    def _build_summary(self, total_done, makespan, m_lats, m_wait, m_sq,
-                       area, prev_t, cur_depth, max_depth, retries,
-                       degraded_done, touched, failing):
-        """Fold the drain accumulators into a :class:`ServeSummary`."""
+        if summary:
+            return replace(acc, **self._totals(acc.makespan_ms,
+                                               sum(retries.values())))
+        from ..serving.cluster import RequestRecord, SimulationResult
+
+        records = [
+            RequestRecord(
+                rid=req.rid, model=model, instance=idx, batch_size=size,
+                t_arrival_ms=req.t_ms, t_dispatch_ms=t_disp,
+                t_complete_ms=t_done,
+                retries=retries.get(req.rid, 0),
+                degraded=degraded.get(req.rid, False),
+            )
+            for model, idx, size, t_disp, t_done, batch in done
+            for req in batch
+        ]
+        records.sort(key=lambda r: r.rid)
+        makespan = max((r.t_complete_ms for r in records), default=0.0)
+        return SimulationResult(
+            records=records,
+            n_instances=len(instances),
+            makespan_ms=makespan,
+            queue_samples=samples,
+            trace=trace,
+            scheduler=self.scheduler.name,
+            batching=batching.name,
+            **self._totals(makespan, sum(retries.values())),
+        )
+
+    # ------------------------------------------------------------------
+    def _drain_plain(self, arrivals: List[Request]) -> ServeSummary:
+        """The closure drain of :meth:`run`, inlined into one loop.
+
+        Only for summary-detail runs with no failures, an unrestricted
+        fleet, stock batching and no observer or profiler.  Those
+        preconditions kill whole event classes — no fault/recover
+        events, no stale epochs, and pick() never parks a request
+        (``pending`` stays empty).  The engine queue therefore holds
+        only completion (``_P_FREE``) and batching-deadline
+        (``_P_CHECK``) events: a free at an arrival's exact timestamp
+        pops first, a check after it — the heap's priority order.  Same
+        events, same decisions, same floats as the closure drain.
+        """
+        queue = self.queue
+        push = queue.push
+        pop = queue.pop
+        instances = self.instances
+        dispatcher = self.dispatcher
+        batching = self.batching
+        max_batch = batching.max_batch
+        timeout_ms = batching.timeout_ms
+        check_jitter = self.check_jitter_ms
+        rr = dispatcher._round_robin
+        rr_next = 0
+        n_inst = len(instances)
+        pick_fast = dispatcher._pick_fast
+
+        # Per-model accumulators (latency lists keep the exact multiset
+        # for order statistics) and the queue-depth step integral, with
+        # the arithmetic of ServeSummary._sample.
+        m_lats: Dict[str, List[float]] = {}
+        m_wait: Dict[str, float] = {}
+        m_sq: Dict[str, int] = {}
+        area = 0.0
+        prev_t = 0.0
+        cur_depth = 0
+        max_depth = 0
+        makespan = 0.0
+        total_done = 0
+        queued_total = 0
+
+        def dispatch(inst: _Inst, now: float) -> None:
+            # try_dispatch with the idle/queue checks hoisted to the
+            # call sites and the stock policy's decide() folded in:
+            # size is the same-model head prefix, capped, or a deadline
+            # check while a partial batch waits out its timeout.
+            nonlocal queued_total, area, prev_t, cur_depth
+            iq = inst.queue
+            head = iq[0]
+            model = head.model
+            if max_batch == 1:
+                size = 1
+            else:
+                size = 0
+                for r in iq:
+                    if size >= max_batch or r.model != model:
+                        break
+                    size += 1
+                if (size < max_batch and timeout_ms is not None
+                        and now - head.t_ms + _EPS < timeout_ms):
+                    if not inst.pending_check:
+                        deadline = head.t_ms + timeout_ms
+                        target = deadline - check_jitter
+                        if target <= now + _EPS:
+                            target = deadline
+                        push(target if target > now else now, _P_CHECK,
+                             ("check", inst))
+                        inst.pending_check = True
+                    return
+            batch = [iq.popleft() for _ in range(size)]
+            queued_total -= size
+            if inst.resident != model:
+                inst.cost.svc.config(model)  # validate, then reside
+                inst.resident = model
+                inst.switch_count += 1
+                inst.reprogram_time_ms += inst.reprogram_ms
+                switch_ms = inst.reprogram_ms
+            else:
+                switch_ms = 0.0
+            inst.deploys += 1
+            total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
+            complete = now + total_ms
+            inst.busy_until = complete
+            inst.busy_ms += total_ms
+            inst.in_flight = (model, inst.idx, size, now, complete, batch)
+            push(complete, _P_FREE, ("free", inst, inst.epoch))
+            area += cur_depth * (now - prev_t)
+            prev_t = now
+            cur_depth = queued_total  # depth fell: max unchanged
+
+        def engine_event(head: tuple) -> None:
+            nonlocal makespan, total_done
+            inst: _Inst = head[3][1]
+            if head[1] != _P_FREE:
+                # Deadline check: may be stale, so re-derive idle state
+                # and queue from scratch like on_check does.
+                inst.pending_check = False
+                now = head[0]
+                if inst.queue and inst.busy_until <= now + _EPS:
+                    dispatch(inst, now)
+                return
+            model, _idx, size, t_disp, t_done, batch = inst.in_flight
+            inst.in_flight = None
+            inst.batches += 1
+            inst.requests += size
+            lats = m_lats.get(model)
+            if lats is None:
+                lats = m_lats[model] = []
+                m_wait[model] = 0.0
+                m_sq[model] = 0
+            append = lats.append
+            wait = 0.0
+            for r in batch:
+                t0 = r.t_ms
+                append(t_done - t0)
+                wait += t_disp - t0
+            m_wait[model] += wait
+            m_sq[model] += size * size
+            total_done += size
+            makespan = t_done  # free events pop in time order
+            if inst.queue:
+                dispatch(inst, t_done)
+
+        for req in arrivals:
+            ta = req.t_ms
+            head = queue.head
+            while head is not None and (
+                    head[0] < ta
+                    or (head[0] == ta and head[1] == _P_FREE)):
+                pop()
+                engine_event(head)
+                head = queue.head
+            if rr:
+                inst = instances[rr_next]
+                rr_next += 1
+                if rr_next == n_inst:
+                    rr_next = 0
+            else:
+                inst = pick_fast(instances, req, ta)
+            inst.queue.append(req)
+            queued_total += 1
+            inst.last_model = req.model
+            d = queued_total
+            area += cur_depth * (ta - prev_t)
+            prev_t = ta
+            cur_depth = d
+            if d > max_depth:
+                max_depth = d
+            if inst.busy_until <= ta + _EPS:
+                dispatch(inst, ta)
+        while queue:
+            head = queue.head
+            pop()
+            engine_event(head)
+        # Nothing in this drain reads the clock; leave it at the last
+        # arrival or completion, as the closure drain would.
+        self.clock.now_ms = max(
+            makespan, arrivals[-1].t_ms if arrivals else 0.0)
+        return ServeSummary(
+            total_requests=total_done,
+            makespan_ms=makespan,
+            n_instances=n_inst,
+            scheduler=self.scheduler.name,
+            batching=batching.name,
+            model_lats=m_lats,
+            model_wait_sum=m_wait,
+            model_batch_sq=m_sq,
+            depth_area=area,
+            depth_last_t=prev_t,
+            depth_last=cur_depth,
+            max_queue_depth=max_depth,
+            **self._totals(makespan, 0),
+        )
+
+    def _totals(self, makespan: float, retries: int) -> dict:
+        """Instance stats and fault totals, shared by both result forms."""
         from ..serving.cluster import InstanceStats
-        from .summary import ServeSummary
 
         instances = self.instances
         availability: Optional[float] = None
-        if failing:
+        if self.failures is not None:
             horizon = max(makespan, self.clock.now_ms)
             availability = (
                 1.0 - sum(i.downtime_ms for i in instances)
                 / (len(instances) * horizon) if horizon > 0 else 1.0)
-        return ServeSummary(
-            total_requests=total_done,
-            makespan_ms=makespan,
-            n_instances=len(instances),
-            scheduler=self.scheduler.name,
-            batching=self.batching.name,
-            model_lats=m_lats,
-            model_wait_sum=m_wait,
-            model_batch_sq=m_sq,
-            instances=[
+        return {
+            "instances": [
                 InstanceStats(
                     index=i.idx, requests=i.requests, batches=i.batches,
                     busy_ms=i.busy_ms, reprogram_count=i.deploys,
@@ -1094,13 +860,7 @@ class ServeEngine(Simulation):
                     failures=i.failures, downtime_ms=i.downtime_ms,
                 ) for i in instances
             ],
-            depth_area=area,
-            depth_last_t=prev_t,
-            depth_last=cur_depth,
-            max_queue_depth=max_depth,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
-            total_retries=sum(retries.values()),
-            degraded_count=degraded_done if failing else None,
-            touched_lats=touched,
-        )
+            "availability": availability,
+            "total_failures": sum(i.failures for i in instances),
+            "total_retries": retries,
+        }

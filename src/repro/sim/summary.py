@@ -1,21 +1,25 @@
-"""Summary-detail result containers for the web-scale fast path.
+"""The accumulated form of a run: the one form the SLO reducers read.
 
 The full-detail engines materialize one frozen ``RequestRecord`` per
 request — at 10^6+ requests that object churn *is* the profile, and
-:func:`repro.serving.slo.summarize` immediately reduces the records to
-order statistics anyway.  ``detail="summary"`` runs skip the
-materialization and accumulate exactly what the report needs while the
-events fire:
+the report only needs order statistics and sums of those records.
+These containers hold exactly that:
 
 * per-model latency lists (the *exact* multiset, so every percentile —
-  nearest-rank order statistics — is bit-identical to the full path);
-* per-model wait/batch-size sums (means may differ from the full path
-  in the last ulp because float accumulation order follows completion
-  order, not record order — percentiles never differ);
-* the queue-depth step integral, accumulated with the same arithmetic
-  (and the same float-add order) as
-  :func:`repro.serving.slo._time_weighted_mean`;
+  nearest-rank order statistics — is bit-identical at either detail);
+* per-model wait/batch-size sums (summary-detail runs fold them in
+  completion order, the conversion of a full result in rid order, so
+  means may differ between the two in the last ulp — percentiles never
+  differ);
+* the queue-depth step integral, folded one change point at a time by
+  :meth:`_Accumulated._sample`;
 * the per-instance stats the engines already track incrementally.
+
+:func:`repro.serving.slo.summarize` and
+:func:`~repro.serving.slo.summarize_generation` reduce only this form:
+``detail="summary"`` runs write it while the events fire, a full
+result is converted into it first, and :mod:`repro.sim.shard` merges
+per-cell copies of it.  Nothing else writes it.
 
 These containers deliberately import nothing from :mod:`repro.serving`
 (the façade imports the engines, which import this module — a
@@ -26,19 +30,49 @@ carry the serving layer's frozen stats objects by reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["ServeSummary", "GenerationSummary"]
 
 
-@dataclass
-class ServeSummary:
-    """Accumulated metrics of one ``detail="summary"`` serve run.
+class _Accumulated:
+    """What both accumulated forms share: instance totals and the
+    queue-depth step integral (``depth_area`` up to the last change
+    point ``(depth_last_t, depth_last)``)."""
 
-    Field-for-field this is the information :func:`summarize` extracts
-    from a full :class:`~repro.serving.cluster.SimulationResult`,
-    pre-reduced: :func:`repro.serving.slo.summarize` accepts either and
-    returns the same report (percentiles exact, means to the ulp).
+    @property
+    def total_switches(self) -> int:
+        return sum(i.switch_count for i in self.instances)
+
+    @property
+    def total_reprogram_time_ms(self) -> float:
+        return sum(i.reprogram_time_ms for i in self.instances)
+
+    def _sample(self, point: Tuple[float, int]) -> None:
+        """Fold one queue-depth change point ``(t_ms, depth)``."""
+        t, d = point
+        self.depth_area += self.depth_last * (t - self.depth_last_t)
+        self.depth_last_t = t
+        self.depth_last = d
+
+    def mean_queue_depth(self, horizon_ms: float) -> float:
+        """Close the depth integral at ``horizon_ms``."""
+        if horizon_ms <= 0:
+            return 0.0
+        area = self.depth_area + self.depth_last * max(
+            0.0, horizon_ms - self.depth_last_t)
+        return area / horizon_ms
+
+
+@dataclass
+class ServeSummary(_Accumulated):
+    """Accumulated metrics of one serve run.
+
+    A ``detail="summary"`` run returns it directly;
+    :func:`repro.serving.slo.summarize` converts a full
+    :class:`~repro.serving.cluster.SimulationResult` into it before
+    reducing, so both detail levels report the same (percentiles
+    exact, means to the ulp).
     """
 
     total_requests: int
@@ -69,32 +103,24 @@ class ServeSummary:
     #: (``None`` when the run injected no failures).
     touched_lats: Optional[List[float]] = None
 
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
-
-    def mean_queue_depth(self, horizon_ms: float) -> float:
-        """Close the depth integral at ``horizon_ms`` (same float-add
-        order as ``_time_weighted_mean`` over the full sample list)."""
-        if horizon_ms <= 0:
-            return 0.0
-        area = self.depth_area + self.depth_last * max(
-            0.0, horizon_ms - self.depth_last_t)
-        return area / horizon_ms
+    def _sample(self, point: Tuple[float, int]) -> None:
+        """The depth fold, also tracking the deepest point."""
+        t, d = point
+        self.depth_area += self.depth_last * (t - self.depth_last_t)
+        self.depth_last_t = t
+        self.depth_last = d
+        if d > self.max_queue_depth:
+            self.max_queue_depth = d
 
 
 @dataclass
-class GenerationSummary:
-    """Accumulated metrics of one ``detail="summary"`` generation run.
+class GenerationSummary(_Accumulated):
+    """Accumulated metrics of one generation run.
 
-    Mirrors what :func:`repro.serving.slo.summarize_generation` reads
-    off a full :class:`GenerationSimulationResult`: TTFT/TPOT/latency
-    multisets (exact percentiles), wait sums, token counts, and the
-    queue-depth integral.
+    What :func:`repro.serving.slo.summarize_generation` reads, at
+    either detail level: TTFT/TPOT/latency multisets (exact
+    percentiles), wait sums, token counts, and the queue-depth
+    integral.
     """
 
     total_requests: int
@@ -122,19 +148,3 @@ class GenerationSummary:
     total_failures: int = 0
     total_retries: int = 0
     total_preemptions: int = 0
-
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
-
-    def mean_queue_depth(self, horizon_ms: float) -> float:
-        """Close the depth integral at ``horizon_ms``."""
-        if horizon_ms <= 0:
-            return 0.0
-        area = self.depth_area + self.depth_last * max(
-            0.0, horizon_ms - self.depth_last_t)
-        return area / horizon_ms

@@ -15,6 +15,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import KernelProfiler, MetricsSampler, TraceRecorder, compose
 from repro.serving import (
@@ -34,6 +36,7 @@ from repro.serving import (
     timeout,
 )
 from repro.sim.failures import FailurePlan
+from repro.sim.fleet import FleetSpec, InstanceSpec
 from repro.sim.summary import GenerationSummary, ServeSummary
 
 MIX = ModelMix({"model2-lhc-trigger": 3.0, "model1-peng-isqed21": 2.0,
@@ -56,6 +59,9 @@ def _assert_field(name, a, b):
             assert math.isnan(b), name
         else:
             assert b == pytest.approx(a, rel=1e-12), name
+    elif isinstance(a, float) and math.isnan(a):
+        # Empty runs report NaN percentiles at both detail levels.
+        assert isinstance(b, float) and math.isnan(b), name
     else:
         assert a == b, f"report field {name!r}: full={a!r} summary={b!r}"
 
@@ -242,3 +248,123 @@ class TestGenerationSummary:
         assert isinstance(s, GenerationSummary)
         report = summarize_generation(s)
         assert report.total_requests == s.total_requests
+
+
+@st.composite
+def _scenario(draw, generation=False):
+    """A random stream, fleet, failure plan and observer choice.
+
+    Streams hold 0-300 requests over one to three models, on a 0.25 ms
+    grid half the time so arrivals tie with each other and with engine
+    events.  Fleets mix speeds and capability sets; the first
+    instance's set is widened when needed so every model stays
+    servable.
+    """
+    names = MIX.names
+    models = draw(st.lists(st.sampled_from(names), min_size=1,
+                           max_size=3, unique=True))
+    n = draw(st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    gap_ms = draw(st.sampled_from((0.2, 1.0, 4.0) if not generation
+                                  else (5.0, 20.0, 60.0)))
+    grid = draw(st.booleans())
+    events, t = [], 0.0
+    for _ in range(n):
+        t += rng.expovariate(1.0 / gap_ms)
+        events.append((round(t * 4) / 4 if grid else t, rng.choice(models)))
+    reqs = TraceReplay(events).generate()
+    caps = draw(st.lists(
+        st.tuples(st.sampled_from((0.5, 1.0, 2.0)),
+                  st.none() | st.lists(st.sampled_from(names), min_size=1,
+                                       max_size=2, unique=True)),
+        min_size=1, max_size=4))
+    served = {m for _, c in caps for m in (c or names)}
+    if not set(models) <= served:
+        caps[0] = (caps[0][0], None)
+    fleet = FleetSpec(tuple(
+        InstanceSpec(speed=speed, models=tuple(c) if c else None)
+        for speed, c in caps))
+    failures = draw(st.none() | st.builds(
+        FailurePlan, mtbf_ms=st.sampled_from((30.0, 120.0, 500.0)),
+        mttr_ms=st.sampled_from((0.0, 5.0, 40.0)),
+        seed=st.integers(0, 99)))
+    return reqs, fleet, failures, draw(st.booleans())
+
+
+def _observed(run, observe, **kw):
+    return run(observer=[].append, **kw) if observe else run(**kw)
+
+
+class TestSummaryEqualsFullProperty:
+    """summary == full over generated configurations, for both engines.
+
+    Percentiles and counts must match exactly and means to 1e-12
+    relative (:func:`assert_reports_match`).  The full side also has
+    to conserve requests (one record per request) and be causal.
+    """
+
+    _BATCHING = {
+        "none": lambda k, t: None,
+        "fixed": lambda k, t: fixed_size(k),
+        "timeout": lambda k, t: timeout(k, t),
+        "custom": lambda k, t: _CappedTimeout(name="capped", max_batch=k,
+                                              timeout_ms=t),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=_scenario(),
+           scheduler=st.sampled_from(("round-robin", "least-loaded",
+                                      "model-affinity")),
+           batching=st.sampled_from(sorted(_BATCHING)),
+           max_batch=st.integers(1, 6),
+           timeout_ms=st.sampled_from((0.5, 2.0)),
+           jitter=st.sampled_from((0.0, 0.3, 1.0)))
+    def test_serve(self, default_accel, scenario, scheduler, batching,
+                   max_batch, timeout_ms, jitter):
+        reqs, fleet, failures, observe = scenario
+        sim = ClusterSimulator(
+            default_accel, scheduler=scheduler, fleet=fleet,
+            batching=self._BATCHING[batching](max_batch, timeout_ms),
+            reprogram_latency_ms=1.0, check_jitter_ms=jitter,
+            failures=failures)
+        full = _observed(sim.run, observe, requests=reqs)
+        assert sorted(r.rid for r in full.records) == sorted(
+            r.rid for r in reqs)
+        for r in full.records:
+            assert (r.t_arrival_ms <= r.t_dispatch_ms
+                    <= r.t_complete_ms)
+        summ = _observed(sim.run, observe, requests=reqs, detail="summary")
+        assert_reports_match(summarize(full, slo_ms=5.0),
+                             summarize(summ, slo_ms=5.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=_scenario(generation=True),
+           scheduler=st.sampled_from(("round-robin", "least-loaded",
+                                      "model-affinity")),
+           slots=st.integers(1, 4),
+           priorities=st.none() | st.lists(st.integers(0, 2), min_size=1),
+           length_seed=st.integers(0, 99))
+    def test_generation(self, default_accel, scenario, scheduler, slots,
+                        priorities, length_seed):
+        arrivals, fleet, failures, observe = scenario
+        reqs = attach_generation_lengths(
+            arrivals, LengthSampler("uniform", 4, 16),
+            LengthSampler("geometric", 1, 24, mean_extra=4.0),
+            seed=length_seed, max_total=default_accel.synth.max_seq_len)
+        if priorities is not None:
+            reqs = [dataclasses.replace(
+                r, priority=priorities[i % len(priorities)])
+                for i, r in enumerate(reqs)]
+        sim = GenerationClusterSimulator(
+            default_accel, slots=slots, scheduler=scheduler, fleet=fleet,
+            reprogram_latency_ms=1.0, failures=failures)
+        full = _observed(sim.run, observe, requests=reqs)
+        assert sorted(r.rid for r in full.records) == sorted(
+            r.rid for r in reqs)
+        for r in full.records:
+            assert (r.t_arrival_ms <= r.t_admit_ms <= r.t_first_token_ms
+                    <= r.t_complete_ms)
+        summ = _observed(sim.run, observe, requests=reqs, detail="summary")
+        kw = {"ttft_slo_ms": 30.0, "tpot_slo_ms": 3.0}
+        assert_reports_match(summarize_generation(full, **kw),
+                             summarize_generation(summ, **kw))

@@ -173,6 +173,29 @@ class TestServe:
         assert 1 <= blob["instances"] <= 8
 
 
+class TestBadWorkloadInput:
+    """Bad workload flags exit with one line, never a traceback or an
+    empty report.  ``SystemExit`` with a string code is exactly that:
+    the interpreter prints the message and exits with status 1."""
+
+    @pytest.mark.parametrize("command", ["serve", "generate"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--qps", "0"], "qps must be positive"),
+        (["--instances", "0"], "--instances must be >= 1"),
+        (["--qps", "inf"], "qps must be finite"),
+        (["--qps", "nan"], "qps must be finite"),
+        (["--duration-ms", "-5"], "--duration-ms must be positive"),
+    ], ids=["qps-0", "instances-0", "qps-inf", "qps-nan", "duration-neg"])
+    def test_exits_with_one_line(self, command, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        code = exc.value.code
+        assert isinstance(code, str) and code  # non-zero exit status
+        assert message in code
+        assert "\n" not in code and "Traceback" not in code
+        assert capsys.readouterr().out == ""  # no report was printed
+
+
 class TestServePlanKnobs:
     PLAN = ["serve", "--plan", "--slo-ms", "50", "--qps", "200",
             "--duration-ms", "500"]
