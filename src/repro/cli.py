@@ -690,15 +690,20 @@ def _cmd_serve(args) -> None:
         # sits below nominal, and the nominal gate could never be met.
         realized_qps = (len(requests) / args.duration_ms * 1e3
                         if args.scenario != "trace" and requests else None)
-        plan = plan_capacity(
-            accel, requests, target_p99_ms=args.slo_ms,
-            target_qps=realized_qps,
-            scheduler=args.policy, batching=batching,
-            reprogram_latency_ms=args.reprogram_ms,
-            failures=failures,
-            mode=args.confirm, confirm=not args.analytic_only,
-            shards=shard_kwargs.get("shards", 1),
-            shard_jobs=shard_kwargs.get("shard_jobs"))
+        try:
+            plan = plan_capacity(
+                accel, requests, target_p99_ms=args.slo_ms,
+                target_qps=realized_qps,
+                scheduler=args.policy, batching=batching,
+                reprogram_latency_ms=args.reprogram_ms,
+                failures=failures,
+                mode=args.confirm, confirm=not args.analytic_only,
+                shards=shard_kwargs.get("shards", 1),
+                shard_jobs=shard_kwargs.get("shard_jobs"))
+        except RuntimeError as exc:
+            # No fleet meets the targets: a valid question with no
+            # answer, reported as one line (exit status 1).
+            raise SystemExit(f"infeasible plan: {exc}") from None
         if args.as_json:
             out = {
                 "instances": plan.instances,

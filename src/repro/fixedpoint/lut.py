@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,15 +52,23 @@ class FunctionLUT:
     entries: int = 256
     interpolate: bool = False
     name: str = "lut"
-    _table: np.ndarray = field(init=False, repr=False)
+    _values: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.entries < 2 or (self.entries & (self.entries - 1)) != 0:
             raise ValueError("entries must be a power of two >= 2")
         if not self.hi > self.lo:
             raise ValueError("need hi > lo")
-        xs = np.linspace(self.lo, self.hi, self.entries)
-        self._table = np.asarray(self.fn(xs), dtype=np.float64)
+
+    @property
+    def _table(self) -> np.ndarray:
+        """The sampled table, built on first lookup: an accelerator that
+        never evaluates this unit never pays for (or imports) ``fn``."""
+        if self._values is None:
+            xs = np.linspace(self.lo, self.hi, self.entries)
+            self._values = np.asarray(self.fn(xs), dtype=np.float64)
+        return self._values
 
     @property
     def step(self) -> float:
@@ -70,15 +78,16 @@ class FunctionLUT:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the table at ``x`` (vectorized, clamped)."""
         x = np.asarray(x, dtype=np.float64)
+        table = self._table
         pos = (np.clip(x, self.lo, self.hi) - self.lo) / self.step
         if self.interpolate:
             idx = np.clip(np.floor(pos).astype(np.int64), 0, self.entries - 2)
             frac = pos - idx
-            lo = self._table[idx]
-            hi = self._table[idx + 1]
+            lo = table[idx]
+            hi = table[idx + 1]
             return lo + frac * (hi - lo)
         idx = np.clip(np.rint(pos).astype(np.int64), 0, self.entries - 1)
-        return self._table[idx]
+        return table[idx]
 
     def max_error(self, samples: int = 4096) -> float:
         """Worst-case absolute error against the real function."""
@@ -121,14 +130,25 @@ class RsqrtLUT(FunctionLUT):
                          interpolate=interpolate, name="rsqrt")
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.erf``, imported on first call.
+
+    The import costs about 0.3 s, and only the functional GELU path
+    ever evaluates an erf table.  ``math.erf`` is not a substitute: it
+    differs from scipy by 1-2 ulp at some grid points, and the tables
+    are unquantized float64.
+    """
+    from scipy.special import erf
+
+    return erf(x)
+
+
 class ErfLUT(FunctionLUT):
     """``erf(x)`` on a symmetric interval — GELU's non-linearity."""
 
     def __init__(self, half_range: float = 4.0, entries: int = 512,
                  interpolate: bool = True):
-        from scipy.special import erf  # local import keeps scipy optional at import time
-
-        super().__init__(fn=erf, lo=-half_range, hi=half_range, entries=entries,
+        super().__init__(fn=_erf, lo=-half_range, hi=half_range, entries=entries,
                          interpolate=interpolate, name="erf")
 
 

@@ -37,6 +37,7 @@ from .cluster import (
     ClusterSimulator,
     InstanceStats,
     RequestRecord,
+    RequestRecords,
     SimulationResult,
     simulate,
 )
@@ -99,7 +100,7 @@ __all__ = [
     "SCHEDULERS", "get_scheduler",
     # cluster
     "ClusterSimulator", "simulate", "SimulationResult", "RequestRecord",
-    "InstanceStats",
+    "RequestRecords", "InstanceStats",
     # generation (token-level continuous batching)
     "GenerationClusterSimulator", "simulate_generation",
     "GenerationSimulationResult", "GenerationRecord",

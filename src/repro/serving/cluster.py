@@ -39,8 +39,14 @@ records are byte-identical.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain, count, repeat
+from operator import attrgetter, itemgetter
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
+
+import numpy as np
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
@@ -50,8 +56,8 @@ from .batching import BatchingPolicy, ServiceTimeModel, no_batching
 from .scheduler import Scheduler, get_scheduler
 from .workload import Request
 
-__all__ = ["RequestRecord", "InstanceStats", "SimulationResult",
-           "ClusterSimulator", "simulate"]
+__all__ = ["RequestRecord", "RequestRecords", "InstanceStats",
+           "SimulationResult", "ClusterSimulator", "simulate"]
 
 @dataclass(frozen=True)
 class RequestRecord:
@@ -82,6 +88,161 @@ class RequestRecord:
         return self.t_complete_ms - self.t_arrival_ms
 
 
+_BY_RID = attrgetter("rid")
+_BY_T = attrgetter("t_ms")
+
+
+class _RecordColumns(NamedTuple):
+    """Per-request record fields as parallel numpy columns: the form
+    :func:`~repro.serving.slo.summarize` reduces a full result from."""
+
+    t_arrival: np.ndarray
+    t_dispatch: np.ndarray
+    t_done: np.ndarray
+    #: model name → its code in ``model``.
+    models: Dict[str, int]
+    model: np.ndarray
+    size: np.ndarray
+    retries: np.ndarray
+    degraded: np.ndarray
+
+
+def _record_columns(records: Sequence[RequestRecord]) -> _RecordColumns:
+    """Columns of ``records``, in their order.
+
+    A :class:`RequestRecords` view reads them from its batch log
+    without building records; any other sequence (the legacy loop's
+    list, hand-built lists) from the records' attributes.
+    """
+    if isinstance(records, RequestRecords):
+        return records._columns()
+    n = len(records)
+
+    def column(attr: str, dtype) -> np.ndarray:
+        return np.fromiter(map(attrgetter(attr), records), dtype, n)
+
+    models: Dict[str, int] = {}
+    return _RecordColumns(
+        t_arrival=column("t_arrival_ms", np.float64),
+        t_dispatch=column("t_dispatch_ms", np.float64),
+        t_done=column("t_complete_ms", np.float64),
+        models=models,
+        model=np.fromiter(map(models.setdefault,
+                              map(attrgetter("model"), records), count()),
+                          np.int64, n),
+        size=column("batch_size", np.int64),
+        retries=column("retries", np.int64),
+        degraded=column("degraded", np.bool_),
+    )
+
+
+class RequestRecords(_SequenceABC):
+    """The rid-ordered records of a full-detail run, built on demand.
+
+    Holds the engine's log of completed batches — ``(model, instance,
+    size, t_dispatch, t_done, batch)`` in completion order — plus the
+    run's ``rid → retries`` and ``rid → degraded`` maps.  ``len()``
+    reads the log; the first index or iteration builds one
+    :class:`RequestRecord` per request, stable-sorted by rid (equal
+    rids keep completion order), and caches the list.
+    :func:`~repro.serving.slo.summarize` reduces the log directly and
+    never builds them.
+
+    Read-only: no ``append`` and no in-place ``sort``.  ``==`` holds
+    against any sequence with the same records, in both directions.
+    """
+
+    __slots__ = ("_done", "_retries", "_degraded", "_len", "_records")
+
+    def __init__(self, done: List[tuple], retries: Mapping[int, int],
+                 degraded: Mapping[int, bool]):
+        self._done = done
+        self._retries = retries
+        self._degraded = degraded
+        self._len = sum(map(itemgetter(2), done))
+        self._records: Optional[List[RequestRecord]] = None
+
+    def _list(self) -> List[RequestRecord]:
+        records = self._records
+        if records is None:
+            retries, degraded = self._retries, self._degraded
+            records = [
+                RequestRecord(
+                    rid=req.rid, model=model, instance=idx, batch_size=size,
+                    t_arrival_ms=req.t_ms, t_dispatch_ms=t_disp,
+                    t_complete_ms=t_done,
+                    retries=retries.get(req.rid, 0),
+                    degraded=degraded.get(req.rid, False),
+                )
+                for model, idx, size, t_disp, t_done, batch in self._done
+                for req in batch
+            ]
+            records.sort(key=_BY_RID)
+            self._records = records
+        return records
+
+    def _columns(self) -> _RecordColumns:
+        """The records' fields as rid-ordered columns, read from the
+        log without building a record."""
+        done = self._done
+        n, n_batches = self._len, len(done)
+        reqs = list(chain.from_iterable(map(itemgetter(5), done)))
+        rids = np.fromiter(map(_BY_RID, reqs), np.int64, n)
+        # Stable, so equal rids keep completion order, as in _list().
+        order = np.argsort(rids, kind="stable")
+
+        def batch_column(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype, n_batches)
+
+        sizes = batch_column(map(itemgetter(2), done), np.int64)
+
+        def per_request(column: np.ndarray) -> np.ndarray:
+            return np.repeat(column, sizes)[order]
+
+        def by_rid(mapping: Mapping, default, dtype) -> np.ndarray:
+            if not mapping:
+                return np.full(n, default, dtype)
+            return np.fromiter(map(mapping.get, rids[order].tolist(),
+                                   repeat(default)), dtype, n)
+
+        models: Dict[str, int] = {}
+        codes = batch_column(
+            map(models.setdefault, map(itemgetter(0), done), count()),
+            np.int64)
+        return _RecordColumns(
+            t_arrival=np.fromiter(map(_BY_T, reqs), np.float64, n)[order],
+            t_dispatch=per_request(
+                batch_column(map(itemgetter(3), done), np.float64)),
+            t_done=per_request(
+                batch_column(map(itemgetter(4), done), np.float64)),
+            models=models,
+            model=per_request(codes),
+            size=per_request(sizes),
+            retries=by_rid(self._retries, 0, np.int64),
+            degraded=by_rid(self._degraded, False, np.bool_),
+        )
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _SequenceABC):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        return self._list() == (other if isinstance(other, list)
+                                else list(other))
+
+    def __repr__(self) -> str:
+        return f"<RequestRecords: {self._len} records>"
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """End-of-run accounting for one instance."""
@@ -103,7 +264,10 @@ class InstanceStats:
 class SimulationResult:
     """Everything a run produced: records, trace, per-instance stats."""
 
-    records: List[RequestRecord]
+    #: One record per completed request, in rid order.  Kernel runs
+    #: return a read-only :class:`RequestRecords` view that builds them
+    #: on first access; the legacy loop returns a plain list.
+    records: Sequence[RequestRecord]
     instances: List[InstanceStats]
     n_instances: int
     makespan_ms: float

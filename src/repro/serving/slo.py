@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,7 +31,8 @@ from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
 from ..sim.summary import GenerationSummary, ServeSummary
 from .batching import BatchingPolicy
-from .cluster import InstanceStats, SimulationResult, simulate
+from .cluster import (InstanceStats, SimulationResult, _record_columns,
+                      simulate)
 from .generation import GenerationSimulationResult
 from .workload import Request
 
@@ -296,11 +299,11 @@ def _nearest_rank(ordered: Sequence[float], q: float) -> float:
 
 def _serve_summary(result: SimulationResult) -> ServeSummary:
     """A full serve result in the accumulated form :func:`summarize`
-    reads: one pass over the records in rid order, one over the
-    queue-depth samples."""
-    recs = result.records
+    reads: one pass over the records' columns in rid order, one over
+    the queue-depth samples.  A kernel result's columns come straight
+    from its batch log, so no record is built."""
     s = ServeSummary(
-        total_requests=len(recs),
+        total_requests=len(result.records),
         makespan_ms=result.makespan_ms,
         n_instances=result.n_instances,
         scheduler=result.scheduler,
@@ -310,21 +313,18 @@ def _serve_summary(result: SimulationResult) -> ServeSummary:
         total_failures=result.total_failures,
         total_retries=result.total_retries,
     )
-    m_lats, m_wait, m_sq = s.model_lats, s.model_wait_sum, s.model_batch_sq
-    for r in recs:
-        model = r.model
-        if model not in m_lats:
-            m_lats[model] = []
-            m_wait[model] = 0.0
-            m_sq[model] = 0
-        t0 = r.t_arrival_ms
-        m_lats[model].append(r.t_complete_ms - t0)
-        m_wait[model] += r.t_dispatch_ms - t0
-        m_sq[model] += r.batch_size
+    cols = _record_columns(result.records)
+    lats = cols.t_done - cols.t_arrival
+    waits = cols.t_dispatch - cols.t_arrival
+    for model, code in cols.models.items():
+        rows = cols.model == code
+        s.model_lats[model] = lats[rows].tolist()
+        # Left to right from 0.0, as an accumulating loop would.
+        s.model_wait_sum[model] = reduce(add, waits[rows].tolist(), 0.0)
+        s.model_batch_sq[model] = int(cols.size[rows].sum())
     if result.availability is not None:
-        s.touched_lats = [r.latency_ms for r in recs
-                          if r.degraded or r.retries]
-        s.degraded_count = sum(1 for r in recs if r.degraded)
+        s.touched_lats = lats[cols.degraded | (cols.retries > 0)].tolist()
+        s.degraded_count = int(cols.degraded.sum())
     sample = s._sample
     for point in result.queue_samples:
         sample(point)

@@ -61,7 +61,7 @@ byte-identical with any observer attached.
 from __future__ import annotations
 
 from dataclasses import replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
@@ -274,11 +274,16 @@ class ServeEngine(Simulation):
         sinks differ, and they are chosen once before the loop:
 
         * ``detail="full"`` returns a
-          :class:`~repro.serving.cluster.SimulationResult` with one
-          record per request — the byte-identity surface the goldens
-          pin.  ``emit`` appends to the trace (and feeds the observer),
-          ``sample`` appends queue-depth samples, and every completed
-          batch joins the list the records are built from.
+          :class:`~repro.serving.cluster.SimulationResult` — the
+          byte-identity surface the goldens pin.  ``emit`` appends to
+          the trace (and feeds the observer), ``sample`` appends
+          queue-depth samples, and every completed batch joins the
+          completion log.  Its ``records`` is a
+          :class:`~repro.serving.cluster.RequestRecords` view over that
+          log: one record per request, in rid order, built only when
+          first read (:func:`~repro.serving.slo.summarize` reads the
+          log and never builds them).  The makespan is the latest
+          completion time in the log.
         * ``detail="summary"`` returns a
           :class:`~repro.sim.summary.ServeSummary` accumulated on the
           fly: the web-scale path.  ``emit`` is the observer (or
@@ -638,23 +643,11 @@ class ServeEngine(Simulation):
         if summary:
             return replace(acc, **self._totals(acc.makespan_ms,
                                                sum(retries.values())))
-        from ..serving.cluster import RequestRecord, SimulationResult
+        from ..serving.cluster import RequestRecords, SimulationResult
 
-        records = [
-            RequestRecord(
-                rid=req.rid, model=model, instance=idx, batch_size=size,
-                t_arrival_ms=req.t_ms, t_dispatch_ms=t_disp,
-                t_complete_ms=t_done,
-                retries=retries.get(req.rid, 0),
-                degraded=degraded.get(req.rid, False),
-            )
-            for model, idx, size, t_disp, t_done, batch in done
-            for req in batch
-        ]
-        records.sort(key=lambda r: r.rid)
-        makespan = max((r.t_complete_ms for r in records), default=0.0)
+        makespan = max(map(itemgetter(4), done), default=0.0)
         return SimulationResult(
-            records=records,
+            records=RequestRecords(done, retries, degraded),
             n_instances=len(instances),
             makespan_ms=makespan,
             queue_samples=samples,

@@ -1,9 +1,13 @@
 """The accumulated form of a run: the one form the SLO reducers read.
 
-The full-detail engines materialize one frozen ``RequestRecord`` per
-request — at 10^6+ requests that object churn *is* the profile, and
-the report only needs order statistics and sums of those records.
-These containers hold exactly that:
+The report needs only order statistics and sums of per-request
+outcomes, never the per-request objects: at 10^6+ requests building
+them *is* the profile.  The full-detail serve engine therefore keeps
+its log of completed batches and builds a frozen ``RequestRecord``
+only when someone reads ``SimulationResult.records``; the conversion
+below reads the log itself.  (The generation engine still builds one
+``GenerationRecord`` per sequence — far fewer sequences than tokens.)
+These containers hold exactly what the report reads:
 
 * per-model latency lists (the *exact* multiset, so every percentile —
   nearest-rank order statistics — is bit-identical at either detail);
@@ -18,8 +22,10 @@ These containers hold exactly that:
 :func:`repro.serving.slo.summarize` and
 :func:`~repro.serving.slo.summarize_generation` reduce only this form:
 ``detail="summary"`` runs write it while the events fire, a full
-result is converted into it first, and :mod:`repro.sim.shard` merges
-per-cell copies of it.  Nothing else writes it.
+result is converted into it first (a serve result from the rid-ordered
+columns of its batch log, without building records), and
+:mod:`repro.sim.shard` merges per-cell copies of it.  Nothing else
+writes it.
 
 These containers deliberately import nothing from :mod:`repro.serving`
 (the façade imports the engines, which import this module — a

@@ -1,5 +1,10 @@
 """Unit tests for the LUT function units."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,3 +109,47 @@ class TestResourceEstimate:
                              interpolate=True)
         assert lut_resource_estimate(base)["dsps"] == 0
         assert lut_resource_estimate(interp)["dsps"] == 1
+
+
+class TestLazyTables:
+    """Tables are built on first use, bit-identical to eager tables."""
+
+    @pytest.mark.parametrize("make,fn", [
+        (lambda: ExpLUT(), np.exp),
+        (lambda: ReciprocalLUT(), lambda x: 1.0 / x),
+        (lambda: RsqrtLUT(), lambda x: 1.0 / np.sqrt(x)),
+        (lambda: ErfLUT(entries=1024), None),
+        (lambda: ErfLUT(half_range=3.0, entries=256, interpolate=False),
+         None),
+    ], ids=["exp", "recip", "rsqrt", "erf-1024", "erf-256-nearest"])
+    def test_table_equals_eager_build(self, make, fn):
+        if fn is None:
+            from scipy.special import erf as fn
+        lut = make()
+        assert lut._values is None  # nothing built at construction
+        eager = np.asarray(fn(np.linspace(lut.lo, lut.hi, lut.entries)),
+                           dtype=np.float64)
+        xs = np.linspace(lut.lo - 1.0, lut.hi + 1.0, 333)
+        out = lut(xs)
+        assert np.array_equal(lut._table, eager)
+        assert lut._table is lut._table  # built once, then cached
+        fresh = make()
+        assert np.array_equal(out, fresh(xs))
+
+    def test_max_error_builds_the_table(self):
+        lut = ExpLUT(entries=64)
+        assert lut._values is None
+        assert 0.0 < lut.max_error() < 0.2
+        assert lut._values is not None
+
+    def test_default_accelerator_leaves_scipy_unimported(self):
+        code = ("import sys\n"
+                "from repro.experiments.common import default_accelerator\n"
+                "default_accelerator()\n"
+                "print('scipy.special' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        assert proc.stdout.strip() == "False"

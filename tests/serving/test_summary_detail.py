@@ -11,6 +11,7 @@ instance stats match exactly.
 """
 
 import dataclasses
+import json
 import math
 import random
 
@@ -26,15 +27,20 @@ from repro.serving import (
     LengthSampler,
     ModelMix,
     PoissonArrivals,
+    RequestRecord,
+    RequestRecords,
     TraceReplay,
     attach_generation_lengths,
     fixed_size,
+    render_serving_report,
     simulate,
     simulate_generation,
     summarize,
     summarize_generation,
     timeout,
 )
+from repro.serving.cluster import _record_columns
+from repro.serving.slo import _serve_summary
 from repro.sim.failures import FailurePlan
 from repro.sim.fleet import FleetSpec, InstanceSpec
 from repro.sim.summary import GenerationSummary, ServeSummary
@@ -368,3 +374,167 @@ class TestSummaryEqualsFullProperty:
         kw = {"ttft_slo_ms": 30.0, "tpot_slo_ms": 3.0}
         assert_reports_match(summarize_generation(full, **kw),
                              summarize_generation(summ, **kw))
+
+
+class TestRequestRecordsView:
+    """A kernel run's ``records``: a read-only, rid-ordered view of the
+    batch log that builds its records on first access."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts every :class:`RequestRecord` constructed."""
+        counter = {"n": 0}
+        init = RequestRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            counter["n"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RequestRecord, "__init__", counting)
+        return counter
+
+    @staticmethod
+    def _runs(accel):
+        reqs = _requests(qps=300, seed=21, duration=300)
+        sim = ClusterSimulator(accel, 3, scheduler="least-loaded",
+                               batching=timeout(4, 2.0),
+                               reprogram_latency_ms=1.0)
+        return sim.run(reqs), sim.run_legacy(reqs).records
+
+    def test_len_builds_nothing(self, default_accel, built):
+        kernel, legacy = self._runs(default_accel)
+        built["n"] = 0
+        assert isinstance(kernel.records, RequestRecords)
+        assert len(kernel.records) == len(legacy) > 0
+        assert kernel.total_requests == len(legacy)
+        assert built["n"] == 0
+
+    def test_sequence_behaviour(self, default_accel):
+        kernel, legacy = self._runs(default_accel)
+        view = kernel.records
+        n = len(legacy)
+        assert view[0] == legacy[0] and view[-1] == legacy[-1]
+        assert view[n // 2] == legacy[n // 2]
+        assert view[-n] == legacy[0]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert view[1:4] == legacy[1:4]
+        assert view[::-3] == legacy[::-3]
+        assert view[n:] == []
+        assert list(view) == legacy
+        assert list(reversed(view)) == legacy[::-1]
+        assert legacy[5] in view
+        assert view.index(legacy[7]) == 7
+        assert not hasattr(view, "append") and not hasattr(view, "sort")
+
+    def test_equality_both_directions(self, default_accel):
+        kernel, legacy = self._runs(default_accel)
+        view = kernel.records
+        assert view == legacy and legacy == view
+        assert view == tuple(legacy) and tuple(legacy) == view
+        assert not view != legacy and not legacy != view
+        assert view == self._runs(default_accel)[0].records
+        shorter = legacy[:-1]
+        assert view != shorter and shorter != view
+        changed = legacy[:-1] + [dataclasses.replace(legacy[-1], retries=1)]
+        assert view != changed and changed != view
+        assert view != 5 and view != "records"
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_empty_run(self, default_accel, built):
+        res = ClusterSimulator(default_accel, 2).run([])
+        assert len(res.records) == 0
+        assert res.records == [] and [] == res.records
+        assert list(res.records) == [] and res.makespan_ms == 0.0
+        assert summarize(res).total_requests == 0
+        assert built["n"] == 0
+
+    def test_rid_order_with_stable_ties(self, default_accel):
+        """Records sort by rid; equal rids keep completion order.  One
+        instance without batching completes in arrival order, and the
+        rids below run backwards in pairs, so every tie is a pair."""
+        n = 301
+        events = [(1.0 * k, "model2-lhc-trigger") for k in range(n)]
+        reqs = [dataclasses.replace(r, rid=(n - r.rid) // 2)
+                for r in TraceReplay(events).generate()]
+        res = ClusterSimulator(default_accel, 1).run(reqs)
+        got = [(r.rid, r.t_arrival_ms) for r in res.records]
+        assert got[:3] == [(0, 300.0), (1, 298.0), (1, 299.0)]
+        assert got == sorted((r.rid, r.t_ms) for r in reqs)
+        # The reducer's columns follow the same order as the records.
+        view_cols = _record_columns(res.records)
+        list_cols = _record_columns(list(res.records))
+        for name in ("t_arrival", "t_dispatch", "t_done", "size",
+                     "retries", "degraded"):
+            assert getattr(view_cols, name).tolist() == \
+                getattr(list_cols, name).tolist(), name
+
+    def test_full_detail_serve_builds_no_records(self, default_accel, built):
+        reqs = PoissonArrivals(600, MIX, seed=8).generate(400)
+        res = simulate(default_accel, reqs, 3, scheduler="model-affinity",
+                       batching=timeout(4, 2.0), reprogram_latency_ms=2.0)
+        report = summarize(res, slo_ms=5.0)
+        text = render_serving_report(report, title="no records")
+        assert report.total_requests == len(reqs) and "p99" in text
+        assert built["n"] == 0
+        first = list(res.records)  # built on first access...
+        assert built["n"] == len(reqs)
+        assert list(res.records) == first  # ...and cached
+        assert built["n"] == len(reqs)
+
+
+class TestViewReducerBitIdentity:
+    """``summarize`` reduces the view's log to exactly the report it
+    reduces the built record list to, every float bit for bit."""
+
+    @staticmethod
+    def _bits(report):
+        # JSON floats round-trip exactly, so equal text is equal bits.
+        return json.dumps(report.as_dict(), sort_keys=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=_scenario(),
+           scheduler=st.sampled_from(("round-robin", "least-loaded",
+                                      "model-affinity")),
+           batching=st.sampled_from(sorted(
+               TestSummaryEqualsFullProperty._BATCHING)),
+           max_batch=st.integers(1, 6),
+           timeout_ms=st.sampled_from((0.5, 2.0)),
+           slo_ms=st.none() | st.sampled_from((1.0, 5.0)))
+    def test_view_equals_list(self, default_accel, scenario, scheduler,
+                              batching, max_batch, timeout_ms, slo_ms):
+        reqs, fleet, failures, observe = scenario
+        sim = ClusterSimulator(
+            default_accel, scheduler=scheduler, fleet=fleet,
+            batching=TestSummaryEqualsFullProperty._BATCHING[batching](
+                max_batch, timeout_ms),
+            reprogram_latency_ms=1.0, failures=failures)
+        full = _observed(sim.run, observe, requests=reqs)
+        assert isinstance(full.records, RequestRecords)
+        from_view = summarize(full, slo_ms=slo_ms)
+        as_list = dataclasses.replace(full, records=list(full.records))
+        from_list = summarize(as_list, slo_ms=slo_ms)
+        assert self._bits(from_view) == self._bits(from_list)
+        self._assert_rid_order_sums(full)
+
+    @staticmethod
+    def _assert_rid_order_sums(full):
+        """The accumulated form holds the per-model sums a plain loop
+        over the rid-ordered records takes, left to right."""
+        lats, waits, sq = {}, {}, {}
+        for r in full.records:
+            lats.setdefault(r.model, []).append(r.latency_ms)
+            waits[r.model] = waits.get(r.model, 0.0) + r.wait_ms
+            sq[r.model] = sq.get(r.model, 0) + r.batch_size
+        s = _serve_summary(full)
+        assert s.model_lats == lats
+        assert {m: w.hex() for m, w in s.model_wait_sum.items()} == \
+            {m: w.hex() for m, w in waits.items()}
+        assert s.model_batch_sq == sq
+        if full.availability is not None:
+            assert s.touched_lats == [r.latency_ms for r in full.records
+                                      if r.degraded or r.retries]
+            assert s.degraded_count == sum(r.degraded for r in full.records)
+

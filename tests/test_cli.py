@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,24 @@ class TestBadWorkloadInput:
         assert message in code
         assert "\n" not in code and "Traceback" not in code
         assert capsys.readouterr().out == ""  # no report was printed
+
+
+class TestInfeasiblePlan:
+    """A plan no fleet can meet exits 1 with one line on stderr."""
+
+    def test_exits_1_with_one_line(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--plan",
+             "--slo-ms", "0.0001", "--qps", "2000", "--duration-ms", "200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("infeasible plan: no fleet of <= ")
 
 
 class TestServePlanKnobs:
