@@ -449,7 +449,8 @@ def _build_workload(args, mix):
                           TraceReplay)
 
     # Reject what would otherwise surface as a traceback, a hang
-    # (infinite duration) or an empty report (non-positive duration).
+    # (infinite duration), an empty report (non-positive duration) or
+    # a plausible-looking one (negative or NaN SLO targets).
     if not 0 < args.duration_ms < float("inf"):
         raise SystemExit(
             f"--duration-ms must be positive and finite, got "
@@ -457,6 +458,15 @@ def _build_workload(args, mix):
     if args.instances < 1:
         raise SystemExit(
             f"--instances must be >= 1, got {args.instances}")
+    if getattr(args, "slots", 1) < 1:
+        raise SystemExit(f"--slots must be >= 1, got {args.slots}")
+    if not args.reprogram_ms >= 0:
+        raise SystemExit(
+            f"--reprogram-ms must be >= 0, got {args.reprogram_ms:g}")
+    for flag in ("--slo-ms", "--ttft-slo-ms", "--tpot-slo-ms"):
+        slo = getattr(args, flag[2:].replace("-", "_"), None)
+        if slo is not None and not slo > 0:
+            raise SystemExit(f"{flag} must be positive, got {slo:g}")
     try:
         if args.scenario == "poisson":
             gen = PoissonArrivals(args.qps, mix, seed=args.seed)

@@ -156,6 +156,29 @@ class GenerationSimulationResult:
         return sum(i.reprogram_time_ms for i in self.instances)
 
 
+class _ComputeMemo(dict):
+    """Per-layer decode compute ms by cache length for one model.
+
+    Misses run the cycle model once; the cycle model is deterministic,
+    so the memo is exact.
+    """
+
+    __slots__ = ("_service", "_cfg")
+
+    def __init__(self, service: "GenerationServiceModel",
+                 cfg: TransformerConfig):
+        super().__init__()
+        self._service = service
+        self._cfg = cfg
+
+    def __missing__(self, cache_len: int) -> float:
+        service, cfg = self._service, self._cfg
+        layer = service.accel.latency_model.decode_layer_cycles(
+            cache_len, cfg.d_model, cfg.num_heads)
+        ms = self[cache_len] = service._ms(layer.compute_total)
+        return ms
+
+
 class GenerationServiceModel:
     """Maps (model, lengths) → milliseconds of prefill / decode steps.
 
@@ -170,8 +193,7 @@ class GenerationServiceModel:
         self.accel = accel
         self.models = dict(models or MODEL_ZOO)
         self._prefill: Dict[Tuple[str, int], float] = {}
-        self._load_ms: Dict[str, float] = {}
-        self._compute_ms: Dict[Tuple[str, int], float] = {}
+        self._decode: Dict[str, Tuple[float, Mapping[int, float], int]] = {}
 
     def config(self, model: str) -> TransformerConfig:
         try:
@@ -207,22 +229,27 @@ class GenerationServiceModel:
     def _ms(self, cycles: int) -> float:
         return cycles / (self.accel.clock_mhz * 1e3)
 
-    def _layer_load_ms(self, model: str) -> float:
-        if model not in self._load_ms:
+    def decode_pricing(
+            self, model: str) -> Tuple[float, Mapping[int, float], int]:
+        """One model's decode price table: ``(load_ms, compute_ms, layers)``.
+
+        ``load_ms`` is the per-layer weight-stream term a step pays
+        once, ``compute_ms[cache_len]`` the per-layer compute term each
+        sequence attending over ``cache_len`` keys adds (a memo filled
+        on first lookup), and ``layers`` the layer count.  A step costs
+        ``(load_ms + sum(compute_ms[cl] for cl in cache_lens)) * layers``
+        — exactly :meth:`decode_step_ms`, for callers that bind the
+        table once instead of paying the lookups on every step.
+        """
+        price = self._decode.get(model)
+        if price is None:
             cfg = self.config(model)
             layer = self.accel.latency_model.decode_layer_cycles(
                 1, cfg.d_model, cfg.num_heads)
-            self._load_ms[model] = self._ms(layer.load_total)
-        return self._load_ms[model]
-
-    def _layer_compute_ms(self, model: str, cache_len: int) -> float:
-        key = (model, cache_len)
-        if key not in self._compute_ms:
-            cfg = self.config(model)
-            layer = self.accel.latency_model.decode_layer_cycles(
-                cache_len, cfg.d_model, cfg.num_heads)
-            self._compute_ms[key] = self._ms(layer.compute_total)
-        return self._compute_ms[key]
+            price = self._decode[model] = (
+                self._ms(layer.load_total), _ComputeMemo(self, cfg),
+                cfg.num_layers)
+        return price
 
     def decode_step_ms(self, model: str, cache_lens: Sequence[int]) -> float:
         """One engine step decoding one token for every sequence.
@@ -232,11 +259,8 @@ class GenerationServiceModel:
         """
         if not cache_lens:
             return 0.0
-        cfg = self.config(model)
-        per_layer = (self._layer_load_ms(model)
-                     + sum(self._layer_compute_ms(model, cl)
-                           for cl in cache_lens))
-        return per_layer * cfg.num_layers
+        load, compute, layers = self.decode_pricing(model)
+        return (load + sum(compute[cl] for cl in cache_lens)) * layers
 
 
 class GenerationClusterSimulator:

@@ -26,13 +26,23 @@ scenario layer the legacy loop could not express:
 
 Performance: events here are already batched per resource — one
 ``("step", inst, epoch)`` event advances *every* in-flight sequence of
-an instance by one token (the decode sweep prices all slots in one
-:meth:`~repro.serving.generation.GenerationServiceModel.decode_step_ms`
-call), so the event queue holds at most one step event per instance,
-never one per token.  The arrival stream never enters the event queue
-either: arrivals are stable-sorted once and merged against the
-kernel's :class:`~repro.sim.kernel.EventQueue` of step/fault events
-during the drain.
+an instance by one token, so the event queue holds at most one step
+event per instance, never one per token.  The arrival stream never
+enters the event queue either: arrivals are stable-sorted once and
+merged against the kernel's :class:`~repro.sim.kernel.EventQueue` of
+step/fault events during the drain.  A step's own work is kept flat:
+
+* the decode sweep prices all slots from the resident model's price
+  table (:meth:`~repro.serving.generation.GenerationServiceModel.
+  decode_pricing`), bound to the instance when the model switches in —
+  the same terms and ``sum()`` order as
+  :meth:`~repro.serving.generation.GenerationServiceModel.
+  decode_step_ms`, so the same floats;
+* the queue-depth sample is one running counter: admission,
+  preemption, fail-over and parking only move work, so only an arrival
+  (+1) or a finish (-1) changes it;
+* the step in flight remembers its decode sweep as the list itself,
+  and an instance with an empty queue skips preemption and admission.
 
 One drain, chosen sinks: :meth:`GenerationEngine.run` holds one copy
 of every handler and of the merge loop for both detail levels;
@@ -62,7 +72,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..serving.scheduler import LeastLoaded, ModelAffinity, Scheduler
 from ..serving.workload import GenerationRequest
@@ -131,7 +141,7 @@ class _Inst:
 
     __slots__ = (
         "idx", "spec", "speed", "reprogram_ms", "slots", "queue", "active",
-        "busy_until", "last_model", "resident", "down", "epoch",
+        "busy_until", "last_model", "resident", "price", "down", "epoch",
         "step_done", "requests", "steps", "prefills", "tokens", "busy_ms",
         "switch_count", "reprogram_time_ms", "preemptions", "failures",
         "downtime_ms", "down_since",
@@ -151,9 +161,12 @@ class _Inst:
         self.busy_until = 0.0
         self.last_model: Optional[str] = None
         self.resident: Optional[str] = None
+        #: The resident model's decode price table (bound at switches).
+        self.price: Optional[Tuple[float, Mapping[int, float], int]] = None
         self.down = False
         self.epoch = 0
-        self.step_done: List[Tuple[_Seq, bool]] = []
+        #: The step in flight's decode sweep (each gains one token).
+        self.step_done: List[_Seq] = []
         self.requests = 0
         self.steps = 0
         self.prefills = 0
@@ -291,7 +304,7 @@ class GenerationEngine(Simulation):
         dispatcher = self.dispatcher
         service = self.service
         prefill_ms = service.prefill_ms
-        decode_step_ms = service.decode_step_ms
+        decode_pricing = service.decode_pricing
         priority_mode = (self.preemption if self.preemption is not None
                          else any(r.priority for r in requests))
 
@@ -300,6 +313,8 @@ class GenerationEngine(Simulation):
         preempt_counts: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
         failing = self.failures is not None
+        # Waiting plus in-flight sequences fleet-wide (see Performance).
+        backlog = 0
 
         # Arrivals never enter the event queue: a stable sort by
         # timestamp IS their pop order (equal-time arrivals keep input
@@ -325,7 +340,7 @@ class GenerationEngine(Simulation):
             acc = GenerationSummary(0, 0, 0.0, len(instances), self.slots,
                                     self.scheduler.name)
             emit = note
-            depth = acc._sample
+            sample = acc._sample
             ttfts, tpots, lats = acc.ttfts, acc.tpots, acc.lats
             out_list, req_tpots = acc.out_tokens, acc.req_tpots
 
@@ -355,7 +370,7 @@ class GenerationEngine(Simulation):
             trace = self.trace
             records: List[GenerationRecord] = []
             samples: List[Tuple[float, int]] = []
-            depth = samples.append
+            sample = samples.append
             # Detached runs bind ``emit`` straight to ``trace.append``;
             # an observer sees every trace tuple after it is logged.
             if note is None:
@@ -378,10 +393,6 @@ class GenerationEngine(Simulation):
                     retries=retries.get(rid, 0),
                     preemptions=preempt_counts.get(rid, 0),
                     degraded=degraded.get(rid, False)))
-
-        def sample(now: float) -> None:
-            depth((now, sum(len(i.queue) + len(i.active) for i in instances)
-                   + len(pending)))
 
         def take_next(inst: _Inst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
@@ -442,23 +453,23 @@ class GenerationEngine(Simulation):
             """Admit at the boundary, then run one engine step."""
             if inst.down or inst.busy_until > now + _EPS:
                 return
-            if priority_mode:
+            if priority_mode and inst.queue:
                 preempt_for(inst, now)
             admitted: List[Union[GenerationRequest, _Resume]] = []
-            resident = inst.active[0].req.model if inst.active else None
-            while len(inst.active) + len(admitted) < inst.slots:
-                entry = take_next(inst, resident)
+            model = inst.active[0].req.model if inst.active else None
+            while inst.queue and len(inst.active) + len(admitted) < inst.slots:
+                entry = take_next(inst, model)
                 if entry is None:
                     break
                 admitted.append(entry)
-                if resident is None:
-                    resident = entry.model
-            if not admitted and not inst.active:
+                if model is None:
+                    model = entry.model
+            if model is None:  # nothing admitted, nothing in flight
                 return
-            model = resident
             switched = inst.resident != model
             if switched:
-                service.config(model)  # validate before residency
+                # Validates the model before it becomes resident.
+                inst.price = decode_pricing(model)
                 inst.resident = model
                 inst.switch_count += 1
                 inst.reprogram_time_ms += inst.reprogram_ms
@@ -492,26 +503,29 @@ class GenerationEngine(Simulation):
                         emit(("admit", now, inst.idx, entry.rid,
                               entry.prompt_tokens, entry.output_tokens))
             if decoding:
-                duration += decode_step_ms(
-                    model, [s.cached + 1 for s in decoding]) / speed
+                # GenerationServiceModel.decode_step_ms on the bound
+                # table: same terms, same sum() order, same floats.
+                load, compute, layers = inst.price
+                duration += (load + sum([compute[s.cached + 1]
+                                         for s in decoding])) * layers / speed
             end = now + duration
             inst.busy_until = end
             inst.busy_ms += duration
             inst.steps += 1
-            inst.step_done = [(s, True) for s in decoding]
+            inst.step_done = decoding
             inst.tokens += len(decoding)
             if emit is not None:
                 emit(("step", now, inst.idx, model, len(admitted),
                       len(decoding), duration))
             push(end, _P_STEP, ("step", inst, inst.epoch))
-            sample(now)
+            sample((now, backlog))
 
         def finish_step(inst: _Inst, now: float) -> None:
             """Step boundary: emit tokens, vacate finished sequences."""
-            for seq, decoded in inst.step_done:
-                if decoded:
-                    seq.cached += 1
-                    seq.remaining -= 1
+            nonlocal backlog
+            for seq in inst.step_done:
+                seq.cached += 1
+                seq.remaining -= 1
             inst.step_done = []
             still: List[_Seq] = []
             for seq in inst.active:
@@ -519,12 +533,13 @@ class GenerationEngine(Simulation):
                     finished(seq, inst.idx,
                              seq.t_first if seq.req.output_tokens == 1
                              else now)
+                    backlog -= 1
                     if emit is not None:
                         emit(("finish", now, inst.idx, seq.req.rid))
                 else:
                     still.append(seq)
             inst.active = still
-            sample(now)
+            sample((now, backlog))
             start_step(inst, now)
 
         def route(entry, now: float) -> None:
@@ -548,6 +563,8 @@ class GenerationEngine(Simulation):
             start_step(inst, now)
 
         def on_arrival(req: GenerationRequest, now: float) -> None:
+            nonlocal backlog
+            backlog += 1
             if failing and dispatcher.down_count:
                 degraded[req.rid] = True
             inst = dispatcher.pick(req, now)
@@ -555,14 +572,14 @@ class GenerationEngine(Simulation):
                 pending.append(req)
                 if emit is not None:
                     emit(("arrive", now, req.rid, req.model, -1))
-                sample(now)
+                sample((now, backlog))
                 return
             inst.queue.append(req)
             if inst.last_model is None:
                 inst.last_model = req.model
             if emit is not None:
                 emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample(now)
+            sample((now, backlog))
             start_step(inst, now)
 
         def on_fail(payload: tuple, now: float) -> None:
@@ -587,9 +604,8 @@ class GenerationEngine(Simulation):
                 inst.busy_ms -= inst.busy_until - now
                 inst.busy_until = now
                 inst.epoch += 1
-                inst.tokens -= sum(
-                    1 for _, decoded in inst.step_done if decoded)
-                decoding_ids = {id(s) for s, _ in inst.step_done}
+                inst.tokens -= len(inst.step_done)
+                decoding_ids = {id(s) for s in inst.step_done}
             inst.step_done = []
             for seq in inst.active:
                 retries[seq.req.rid] = retries.get(seq.req.rid, 0) + 1
@@ -614,7 +630,7 @@ class GenerationEngine(Simulation):
             inst.resident = None  # weights are lost with the instance
             queued = list(inst.queue)
             inst.queue.clear()
-            sample(now)
+            sample((now, backlog))
             for entry in displaced:
                 route(entry, now)
             for entry in queued:

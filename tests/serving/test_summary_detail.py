@@ -376,6 +376,70 @@ class TestSummaryEqualsFullProperty:
                              summarize_generation(summ, **kw))
 
 
+def _assert_backlog_matches_trace(result):
+    """Each queue sample is the arrivals minus the finishes logged up to
+    its place in the trace.
+
+    Samples and trace are separate logs.  Every event stamped earlier
+    than a sample precedes it; among events at the sample's own
+    timestamp it sits after some prefix, and the shortest prefix that
+    matches is taken (a later sample can always consume more).
+    """
+    deltas = [(e[1], 1 if e[0] == "arrive" else -1) for e in result.trace
+              if e[0] in ("arrive", "finish")]
+    pos = count = 0
+    for t, depth in result.queue_samples:
+        while pos < len(deltas) and deltas[pos][0] < t:
+            count += deltas[pos][1]
+            pos += 1
+        while count != depth and pos < len(deltas) and deltas[pos][0] == t:
+            count += deltas[pos][1]
+            pos += 1
+        assert depth == count, (t, depth, count)
+    assert sum(d for _, d in deltas) == 0
+    if result.queue_samples:
+        assert result.queue_samples[-1][1] == 0
+
+
+class TestBacklogConservation:
+    """The generation engine's queue depth is one running count.
+
+    Admission, preemption, fail-over and parking only move work, so
+    every full-detail sample must equal arrivals minus finishes so far,
+    the run must end empty, and the summary detail's depth integral
+    must match the full one exactly — over failure plans, priorities
+    and heterogeneous fleets, which the goldens do not sample.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=_scenario(generation=True),
+           scheduler=st.sampled_from(("round-robin", "least-loaded",
+                                      "model-affinity")),
+           slots=st.integers(1, 4),
+           priorities=st.none() | st.lists(st.integers(0, 2), min_size=1),
+           length_seed=st.integers(0, 99))
+    def test_depth_is_arrivals_minus_finishes(
+            self, default_accel, scenario, scheduler, slots, priorities,
+            length_seed):
+        arrivals, fleet, failures, _ = scenario
+        reqs = attach_generation_lengths(
+            arrivals, LengthSampler("uniform", 4, 16),
+            LengthSampler("geometric", 1, 24, mean_extra=4.0),
+            seed=length_seed, max_total=default_accel.synth.max_seq_len)
+        if priorities is not None:
+            reqs = [dataclasses.replace(
+                r, priority=priorities[i % len(priorities)])
+                for i, r in enumerate(reqs)]
+        sim = GenerationClusterSimulator(
+            default_accel, slots=slots, scheduler=scheduler, fleet=fleet,
+            reprogram_latency_ms=1.0, failures=failures)
+        full = sim.run(reqs)
+        _assert_backlog_matches_trace(full)
+        summ = sim.run(reqs, detail="summary")
+        assert (summarize_generation(full).mean_queue_depth
+                == summarize_generation(summ).mean_queue_depth)
+
+
 class TestRequestRecordsView:
     """A kernel run's ``records``: a read-only, rid-ordered view of the
     batch log that builds its records on first access."""

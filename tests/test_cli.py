@@ -200,6 +200,45 @@ class TestBadWorkloadInput:
         assert capsys.readouterr().out == ""  # no report was printed
 
 
+class TestBadRunFlags:
+    """Slot, reprogram and SLO flags out of range exit 1 with one
+    stderr line, checked on the real console path (no traceback)."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "--slots", "0"], "--slots must be >= 1"),
+        (["generate", "--slots", "-2"], "--slots must be >= 1"),
+        (["serve", "--reprogram-ms", "-1"], "--reprogram-ms must be >= 0"),
+        (["generate", "--reprogram-ms", "-1"],
+         "--reprogram-ms must be >= 0"),
+        (["serve", "--plan", "--slo-ms", "-1"], "--slo-ms must be positive"),
+        (["serve", "--slo-ms", "-1"], "--slo-ms must be positive"),
+        (["serve", "--slo-ms", "nan"], "--slo-ms must be positive"),
+        (["generate", "--ttft-slo-ms", "-1"],
+         "--ttft-slo-ms must be positive"),
+        (["generate", "--ttft-slo-ms", "nan"],
+         "--ttft-slo-ms must be positive"),
+        (["generate", "--tpot-slo-ms", "-1"],
+         "--tpot-slo-ms must be positive"),
+        (["generate", "--tpot-slo-ms", "nan"],
+         "--tpot-slo-ms must be positive"),
+    ], ids=["slots-0", "slots-neg", "serve-reprogram-neg",
+            "generate-reprogram-neg", "plan-slo-neg", "serve-slo-neg",
+            "serve-slo-nan", "ttft-slo-neg", "ttft-slo-nan", "tpot-slo-neg",
+            "tpot-slo-nan"])
+    def test_exits_1_with_one_line(self, argv, message):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message)
+
+
 class TestInfeasiblePlan:
     """A plan no fleet can meet exits 1 with one line on stderr."""
 
