@@ -55,6 +55,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
+from tests.support import run_legacy_cluster
 
 from test_sim_kernel import _race
 
@@ -97,7 +98,8 @@ def test_bench_disabled_path_overhead(record_perf):
     sim, requests = _scenario()
 
     t_legacy, legacy, t_kernel, kernel = _race(
-        lambda: sim.run_legacy(requests), lambda: sim.run(requests))
+        lambda: run_legacy_cluster(sim, requests),
+        lambda: sim.run(requests))
     assert legacy.trace == kernel.trace
     assert legacy.records == kernel.records
 

@@ -1,5 +1,7 @@
 """Bench: unified-kernel engine vs the legacy closure loops.
 
+The legacy loops are the seed's engines, kept in ``tests/support``.
+
 Runs the serving benchmark scenario (10k mixed-model requests over 8
 instances, model-affinity dispatch, fixed-4 batching, 5 ms reprogram
 penalty) through both engines of the *same* ``ClusterSimulator`` and
@@ -31,6 +33,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
+from tests.support import run_legacy_cluster, run_legacy_generation
 
 MIX = ModelMix({
     "model2-lhc-trigger": 4.0,
@@ -80,7 +83,8 @@ def test_bench_kernel_vs_legacy_serving(record_perf):
     sim.run(requests)  # warm the service-time memos for both engines
 
     t_legacy, legacy, t_kernel, kernel = _race(
-        lambda: sim.run_legacy(requests), lambda: sim.run(requests))
+        lambda: run_legacy_cluster(sim, requests),
+        lambda: sim.run(requests))
 
     # Identical simulations — the comparison is apples to apples.
     assert legacy.trace == kernel.trace
@@ -109,7 +113,8 @@ def test_bench_kernel_vs_legacy_generation(record_perf):
     sim.run(requests)  # warm the prefill/decode memos
 
     t_legacy, legacy, t_kernel, kernel = _race(
-        lambda: sim.run_legacy(requests), lambda: sim.run(requests))
+        lambda: run_legacy_generation(sim, requests),
+        lambda: sim.run(requests))
     assert legacy.trace == kernel.trace
     assert legacy.records == kernel.records
 
@@ -156,9 +161,10 @@ def test_bench_serving_1M_requests(record_perf):
     # Warm the service-time memos on a prefix so neither timed run
     # pays first-call synthesis costs.
     sim.run(requests[:2_000], detail="summary")
-    sim.run_legacy(requests[:2_000])
+    run_legacy_cluster(sim, requests[:2_000])
 
-    t_seed, legacy = _timed_once(lambda: sim.run_legacy(requests))
+    t_seed, legacy = _timed_once(
+        lambda: run_legacy_cluster(sim, requests))
     t_fast, summary = _timed_once(
         lambda: sim.run(requests, detail="summary"))
 

@@ -11,9 +11,8 @@ closed-form M/M/c wait, and never simulate.  On the benchmark grid one
 surrogate call is ~100x cheaper than one full evaluation.
 
 The closed forms themselves live in :mod:`repro.analytic` (this module
-grew them first; the package promotion kept ``erlang_c`` re-exported
-here for compatibility).  The estimates are deliberately aligned with
-the full evaluator:
+grew them first).  The estimates are deliberately aligned with the
+full evaluator:
 
 * ``latency_ms`` / ``throughput_inf_s`` / ``power_w`` / ``util_pct``
   reuse the very same analytic models the full evaluator starts from,
@@ -39,13 +38,12 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..analytic.generation import estimate_generation
-from ..analytic.queueing import erlang_c  # noqa: F401  (compat re-export)
-from ..analytic.queueing import p99_estimate_ms as _p99_estimate_ms
+from ..analytic.queueing import p99_estimate_ms
 from ..isa.controller import ResynthesisRequiredError
 from ..nn.model_zoo import get_model
 from ..parallel import PipelinePartitioner, get_link
 
-__all__ = ["SURROGATE_OBJECTIVE_NAMES", "erlang_c", "surrogate_point"]
+__all__ = ["SURROGATE_OBJECTIVE_NAMES", "surrogate_point"]
 
 #: Objectives the closed-form model can estimate.  The failure pair
 #: (availability / p99_degraded_ms) and the watchdog pair
@@ -118,9 +116,9 @@ def surrogate_point(point: Mapping[str, Any],
     estimate = {
         "latency_ms": latency_ms,
         "throughput_inf_s": unit_inf_s * fleet,
-        "p99_ms": _p99_estimate_ms(latency_ms, unit_inf_s, fleet,
-                                   float(opts["qps"]),
-                                   float(opts["duration_ms"])),
+        "p99_ms": p99_estimate_ms(latency_ms, unit_inf_s, fleet,
+                                  float(opts["qps"]),
+                                  float(opts["duration_ms"])),
         "power_w": power_w,
         "util_pct": util_pct,
     }

@@ -24,9 +24,9 @@ closure loop on seeded scenarios (pinned by the goldens under
 ``tests/goldens/``) and measurably faster, plus the scenario layer the
 old loop could not express: heterogeneous fleets
 (:class:`~repro.sim.fleet.FleetSpec`) and failure/recovery injection
-(:class:`~repro.sim.failures.FailurePlan`).  The legacy loop survives
-as :meth:`ClusterSimulator.run_legacy`, the reference implementation
-the goldens and the kernel-speedup benchmark compare against.
+(:class:`~repro.sim.failures.FailurePlan`).  The legacy loop no longer
+ships: it lives in the test support (``tests/support/legacy.py``) as
+the oracle the goldens and the kernel benchmarks compare against.
 
 ``simulate(..., observer=...)`` attaches any read-only consumer of the
 engine's event stream — a :class:`repro.obs.TraceRecorder`,
@@ -266,7 +266,7 @@ class SimulationResult:
 
     #: One record per completed request, in rid order.  Kernel runs
     #: return a read-only :class:`RequestRecords` view that builds them
-    #: on first access; the legacy loop returns a plain list.
+    #: on first access.
     records: Sequence[RequestRecord]
     instances: List[InstanceStats]
     n_instances: int
@@ -442,21 +442,6 @@ class ClusterSimulator:
         if observer is not None:
             engine.attach_observer(observer)
         return engine.run(requests, detail="summary")
-
-    # ------------------------------------------------------------------
-    def run_legacy(self, requests: Sequence[Request]) -> SimulationResult:
-        """The pre-kernel closure loop, kept as the reference engine.
-
-        The goldens and the kernel benchmarks run both engines over the
-        same seeded scenarios; this one cannot express fleets or
-        failures and refuses to silently ignore them.  The loop itself
-        lives in :mod:`repro.serving.legacy` (test support, shared with
-        the generation oracle) — only this delegate ships in the hot
-        module.
-        """
-        from .legacy import run_legacy_cluster
-
-        return run_legacy_cluster(self, requests)
 
 
 def simulate(

@@ -333,8 +333,9 @@ class GenerationClusterSimulator:
             shard_jobs: Optional[int] = None):
         """Simulate the stream to completion on the unified kernel.
 
-        Bit-identical to :meth:`run_legacy` on homogeneous, no-failure,
-        no-priority scenarios (pinned by the trace-identity goldens)
+        Bit-identical to the pre-kernel closure loop on homogeneous,
+        no-failure, no-priority scenarios (pinned by the trace-identity
+        goldens against the loop kept in ``tests/support/legacy.py``)
         and the only path that understands heterogeneous fleets,
         failure injection, and priority admission with preemption.
 
@@ -416,19 +417,6 @@ class GenerationClusterSimulator:
         if observer is not None:
             engine.attach_observer(observer)
         return engine.run(requests, detail="summary")
-
-    # ------------------------------------------------------------------
-    def run_legacy(self, requests: Sequence[GenerationRequest]
-                   ) -> GenerationSimulationResult:
-        """The pre-kernel closure loop, kept as the reference engine.
-
-        The loop itself lives in :mod:`repro.serving.legacy` (test
-        support, shared with the serve oracle) — only this delegate
-        ships in the hot module.
-        """
-        from .legacy import run_legacy_generation
-
-        return run_legacy_generation(self, requests)
 
 
 def simulate_generation(

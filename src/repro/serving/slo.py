@@ -12,9 +12,10 @@ searches the bracket around — the proposal instead of probing up from
 one instance.  The confirming probes replay the same seeded workload
 at ``detail="summary"`` (exact for every statistic the planner reads),
 so the returned minimum is still confirmed by, and reproducible from,
-a direct simulation run; ``mode="probe"`` keeps the seed probe-from-1
-search, and ``confirm=False`` skips simulation entirely and returns
-the analytic proposal.
+a direct simulation run; ``confirm=False`` skips simulation entirely
+and returns the analytic proposal.  The seed probe-from-1 search,
+which this planner must agree with, is kept as a test oracle in
+``tests/support/seed_search.py``.
 """
 
 from __future__ import annotations
@@ -554,8 +555,8 @@ class CapacityPlan:
     #: Fleet sizes probed by confirming simulations: {n: achieved
     #: p99_ms} (empty for analytic-only plans).
     probes: Dict[int, float] = field(default_factory=dict)
-    #: The closed-form proposal the search started from (None in
-    #: ``mode="probe"``, the seed probe-from-1 search).
+    #: The closed-form proposal the search started from (always set by
+    #: :func:`plan_capacity`).
     analytic: Optional["FleetProposal"] = None
 
     @property
@@ -577,80 +578,67 @@ def plan_capacity(
     max_instances: int = 256,
     failures=None,
     *,
-    mode: str = "analytic",
     confirm: bool = True,
-    probe_detail: str = "summary",
     shards: int = 1,
     shard_jobs: Optional[int] = None,
 ) -> CapacityPlan:
     """Minimum fleet size meeting the p99 SLO (and target throughput).
 
-    Analytic-first (``mode="analytic"``, the default): the closed-form
-    model of :mod:`repro.analytic` proposes a fleet size, a confirming
-    simulation checks it, and a gallop + binary search around the
-    proposal pins the minimum (queueing delay is monotone
-    non-increasing in fleet size for these policies).  A good proposal
-    costs 2-3 simulated probes instead of the ~2·log2(n) the seed
-    search spends probing up from one instance — and the final answer
-    is identical, because the same simulator issues the verdict either
-    way.  ``mode="probe"`` keeps the seed search (exponential probing
-    from 1, then binary search); ``confirm=False`` skips simulation
+    Analytic-first: the closed-form model of :mod:`repro.analytic`
+    proposes a fleet size, a confirming simulation checks it, and a
+    gallop + binary search around the proposal pins the minimum
+    (queueing delay is monotone non-increasing in fleet size for these
+    policies).  A good proposal costs 2-3 simulated probes instead of
+    the ~2·log2(n) the seed search spent probing up from one instance
+    — and the final answer is identical, because the same simulator
+    issues the verdict either way.  ``confirm=False`` skips simulation
     entirely and returns the analytic proposal (``report=None``,
     estimate in ``plan.analytic``).
 
-    Confirming probes run at ``probe_detail`` (``"summary"`` by
-    default: exact for every statistic the planner reads, without
-    materializing per-request records) and can be sharded across
-    worker processes (``shards``/``shard_jobs``, summary detail only —
-    see :meth:`ClusterSimulator.run_sharded`).
+    Confirming probes run at summary detail (exact for every statistic
+    the planner reads, without materializing per-request records) and
+    can be sharded across worker processes (``shards``/``shard_jobs``,
+    see :func:`repro.sim.shard.run_sharded`).
 
-    Raises ``RuntimeError`` if even ``max_instances`` fails.
+    Raises ``ValueError`` unless ``target_p99_ms`` is positive and
+    finite and ``target_qps`` is None or positive and finite, and
+    ``RuntimeError`` if even ``max_instances`` fails.
 
     ``failures`` (a :class:`~repro.sim.failures.FailurePlan`) plans
     capacity under fault injection — each instance's fault history is
     seeded per index, so probe fleets share fault draws and the search
     stays monotone in practice.
     """
-    if target_p99_ms <= 0:
-        raise ValueError("target_p99_ms must be positive")
+    if not 0 < target_p99_ms < math.inf:
+        raise ValueError("target_p99_ms must be positive and finite, "
+                         f"got {target_p99_ms!r}")
+    if target_qps is not None and not 0 < target_qps < math.inf:
+        raise ValueError("target_qps must be None or positive and "
+                         f"finite, got {target_qps!r}")
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
     if max_instances < 1:
         raise ValueError(
             "cannot plan capacity over an empty fleet: max_instances "
             "must be >= 1")
-    if mode not in ("analytic", "probe"):
-        raise ValueError(f"unknown plan mode {mode!r}; "
-                         "available: ['analytic', 'probe']")
-    if probe_detail not in ("summary", "full"):
-        raise ValueError(f"unknown probe detail {probe_detail!r}; "
-                         "available: ['full', 'summary']")
-    if not confirm and mode != "analytic":
-        raise ValueError("confirm=False requires mode='analytic' "
-                         "(an unconfirmed plan IS the analytic proposal)")
-    if shards != 1 and probe_detail != "summary":
-        raise ValueError("sharded probes require probe_detail='summary' "
-                         "(per-request records cannot be sharded)")
 
-    proposal = None
-    if mode == "analytic":
-        # Lazy: repro.analytic builds on the serving layer's service-
-        # time model, so importing it at module scope would be a cycle.
-        from ..analytic.capacity import propose_fleet
+    # Lazy: repro.analytic builds on the serving layer's service-time
+    # model, so importing it at module scope would be a cycle.
+    from ..analytic.capacity import propose_fleet
 
-        proposal = propose_fleet(
-            accel, requests, target_p99_ms, target_qps,
-            batching=batching, models=models,
-            reprogram_latency_ms=reprogram_latency_ms,
-            max_instances=max_instances, failures=failures)
-        if not confirm:
-            return CapacityPlan(
-                instances=proposal.instances,
-                report=None,
-                target_p99_ms=target_p99_ms,
-                target_qps=target_qps,
-                analytic=proposal,
-            )
+    proposal = propose_fleet(
+        accel, requests, target_p99_ms, target_qps,
+        batching=batching, models=models,
+        reprogram_latency_ms=reprogram_latency_ms,
+        max_instances=max_instances, failures=failures)
+    if not confirm:
+        return CapacityPlan(
+            instances=proposal.instances,
+            report=None,
+            target_p99_ms=target_p99_ms,
+            target_qps=target_qps,
+            analytic=proposal,
+        )
 
     probes: Dict[int, float] = {}
     reports: Dict[int, ServingReport] = {}
@@ -665,7 +653,7 @@ def plan_capacity(
         result = simulate(accel, requests, n, scheduler=scheduler,
                           batching=batching, models=models,
                           reprogram_latency_ms=reprogram_latency_ms,
-                          failures=failures, detail=probe_detail,
+                          failures=failures, detail="summary",
                           shards=eff_shards,
                           shard_jobs=shard_jobs if eff_shards > 1 else None)
         report = summarize(result, slo_ms=target_p99_ms)
@@ -698,14 +686,7 @@ def plan_capacity(
         return (f"no fleet of <= {max_instances} instances meets "
                 + " and ".join(parts))
 
-    if mode == "probe":
-        lo, hi = 0, 1  # lo: largest known-infeasible size
-        while not meets(hi):
-            lo = hi
-            if hi >= max_instances:
-                raise RuntimeError(_infeasible_msg())
-            hi = min(2 * hi, max_instances)
-    elif meets(proposal.instances):
+    if meets(proposal.instances):
         # Gallop down from the proposal with doubling steps until a
         # fleet misses (or the floor), establishing the bracket.
         hi, lo, step = proposal.instances, 0, 1

@@ -267,6 +267,17 @@ def _require_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_duration(duration_ms: float) -> None:
+    """Reject a horizon that yields no stream or never ends.
+
+    A non-positive or NaN horizon would return a plausible empty list,
+    an infinite one would draw arrivals forever.
+    """
+    if not 0 < duration_ms < math.inf:
+        raise ValueError("duration_ms must be positive and finite, "
+                         f"got {duration_ms!r}")
+
+
 class ArrivalProcess:
     """Base: a seedable generator of a finite open-loop request list."""
 
@@ -286,6 +297,7 @@ class PoissonArrivals(ArrivalProcess):
         self.seed = seed
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _require_duration(duration_ms)
         rng = random.Random(self.seed)
         rate_ms = self.qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -336,6 +348,7 @@ class BurstyArrivals(ArrivalProcess):
         self.burst_qps = self.quiet_qps * burst_factor
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _require_duration(duration_ms)
         rng = random.Random(self.seed)
         f = self.burst_fraction
         dwell = {False: self.dwell_ms, True: self.dwell_ms * f / (1 - f)}
@@ -383,6 +396,7 @@ class DiurnalArrivals(ArrivalProcess):
         return self.peak_qps * (self.floor + (1 - self.floor) * shape)
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _require_duration(duration_ms)
         rng = random.Random(self.seed)
         peak_ms = self.peak_qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -407,4 +421,6 @@ class TraceReplay(ArrivalProcess):
         self.events = list(events)
 
     def generate(self, duration_ms: float = math.inf) -> List[Request]:
+        if math.isnan(duration_ms):
+            raise ValueError("duration_ms must not be NaN")
         return _finalize((t, m) for t, m in self.events if t < duration_ms)

@@ -16,8 +16,9 @@ Every discrete-event simulator in the repo runs on this package:
 * :mod:`.serve` / :mod:`.generate` — the engines behind
   :class:`~repro.serving.cluster.ClusterSimulator` and
   :class:`~repro.serving.generation.GenerationClusterSimulator`,
-  verified bit-identical to the legacy closure loops by the
-  trace-identity goldens in ``tests/goldens/``.
+  verified bit-identical to the pre-kernel closure loops (kept as test
+  oracles in ``tests/support/legacy.py``) by the trace-identity goldens
+  in ``tests/goldens/``.
 
 The determinism contract is documented in :mod:`.kernel`: equal inputs
 produce byte-identical traces, records, and rendered reports.

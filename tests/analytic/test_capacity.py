@@ -3,16 +3,20 @@
 Three contracts pin the tentpole rewiring:
 
 * the analytic-first search returns the *same* confirmed plan as the
-  seed probe-from-1 search (``mode="probe"``) on the golden scenarios,
-  feasible and infeasible alike;
-* ``probe_detail="summary"`` probes are an identity with the seed's
-  full-detail probes (exact percentiles, ulp-level means);
+  seed probe-from-1 search (:mod:`tests.support.seed_search`) on the
+  golden scenarios, feasible and infeasible alike;
+* summary-detail probes are an identity with the seed's full-detail
+  probes (exact percentiles, ulp-level means);
 * :func:`propose_fleet`'s binary search equals a linear scan of its
   own predicate.
 """
 
+import math
+
 import pytest
 
+import repro.analytic.capacity
+import repro.serving.slo
 from repro.analytic import estimate_serving, propose_fleet
 from repro.serving import (
     BurstyArrivals,
@@ -23,6 +27,7 @@ from repro.serving import (
     render_capacity_plan,
     timeout,
 )
+from tests.support import seed_plan_capacity
 
 MIX = ModelMix({
     "model2-lhc-trigger": 3.0,
@@ -54,8 +59,8 @@ def test_analytic_first_matches_probe_search(default_accel, scenario,
     requests = SCENARIOS[scenario]()
     analytic = plan_capacity(default_accel, requests,
                              target_p99_ms=target, **PLAN_KW)
-    probe = plan_capacity(default_accel, requests, target_p99_ms=target,
-                          mode="probe", **PLAN_KW)
+    probe = seed_plan_capacity(default_accel, requests,
+                               target_p99_ms=target, **PLAN_KW)
     assert analytic.instances == probe.instances
     assert analytic.report.p99_ms == probe.report.p99_ms
     assert analytic.meets_slo and probe.meets_slo
@@ -69,11 +74,11 @@ def test_summary_probes_are_an_identity(default_accel, scenario):
     the planned fleet size and every report field the seed search
     read unchanged."""
     requests = SCENARIOS[scenario]()
-    summary = plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                            mode="probe", probe_detail="summary",
-                            **PLAN_KW)
-    full = plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                         mode="probe", probe_detail="full", **PLAN_KW)
+    summary = seed_plan_capacity(default_accel, requests,
+                                 target_p99_ms=75.0, probe="summary",
+                                 **PLAN_KW)
+    full = seed_plan_capacity(default_accel, requests, target_p99_ms=75.0,
+                              probe="full", **PLAN_KW)
     assert summary.instances == full.instances
     assert summary.probes == full.probes
     s_rep, f_rep = summary.report, full.report
@@ -92,10 +97,10 @@ def test_summary_probes_are_an_identity(default_accel, scenario):
 
 def test_infeasible_raises_in_both_modes(default_accel):
     requests = SCENARIOS["bursty"]()
-    for mode in ("analytic", "probe"):
+    for plan in (plan_capacity, seed_plan_capacity):
         with pytest.raises(RuntimeError, match="no fleet"):
-            plan_capacity(default_accel, requests, target_p99_ms=1e-6,
-                          mode=mode, max_instances=4, **PLAN_KW)
+            plan(default_accel, requests, target_p99_ms=1e-6,
+                 max_instances=4, **PLAN_KW)
 
 
 def test_analytic_only_plan_shape(default_accel):
@@ -110,17 +115,28 @@ def test_analytic_only_plan_shape(default_accel):
     assert "[analytic, unconfirmed]" in render_capacity_plan(plan)
 
 
-def test_plan_mode_validation(default_accel):
+@pytest.mark.parametrize("targets,message", [
+    ({"target_p99_ms": 0.0}, "target_p99_ms"),
+    ({"target_p99_ms": -1.0}, "target_p99_ms"),
+    ({"target_p99_ms": math.nan}, "target_p99_ms"),
+    ({"target_p99_ms": math.inf}, "target_p99_ms"),
+    ({"target_p99_ms": 75.0, "target_qps": math.nan}, "target_qps"),
+    ({"target_p99_ms": 75.0, "target_qps": -3.0}, "target_qps"),
+    ({"target_p99_ms": 75.0, "target_qps": 0.0}, "target_qps"),
+    ({"target_p99_ms": 75.0, "target_qps": math.inf}, "target_qps"),
+], ids=["p99-zero", "p99-negative", "p99-nan", "p99-inf", "qps-nan",
+        "qps-negative", "qps-zero", "qps-inf"])
+def test_plan_targets_validated_at_entry(default_accel, monkeypatch,
+                                         targets, message):
+    """A bad target raises before the proposal or any probe runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("planned a workload with invalid targets")
+
+    monkeypatch.setattr(repro.analytic.capacity, "propose_fleet", forbidden)
+    monkeypatch.setattr(repro.serving.slo, "simulate", forbidden)
     requests = SCENARIOS["poisson"]()
-    with pytest.raises(ValueError, match="unknown plan mode"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      mode="guess", **PLAN_KW)
-    with pytest.raises(ValueError, match="confirm=False requires"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      mode="probe", confirm=False, **PLAN_KW)
-    with pytest.raises(ValueError, match="sharded probes"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      probe_detail="full", shards=2, **PLAN_KW)
+    with pytest.raises(ValueError, match=message):
+        plan_capacity(default_accel, requests, **targets, **PLAN_KW)
 
 
 @pytest.mark.parametrize("scenario", ("poisson", "bursty", "diurnal"))

@@ -126,9 +126,9 @@ class TestParallel:
                          settings={"poison": 3})
         assert sum(1 for r in pooled.results if not r.ok) == 3
 
-    def test_explicit_chunk_size(self):
+    def test_explicit_batch_size(self):
         result = explore(_space(4, 3), toy_eval, objectives=OBJS, jobs=2,
-                         chunk_size=5)
+                         batch_size=5)
         assert len(result.results) == 12
 
 

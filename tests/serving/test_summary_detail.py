@@ -44,6 +44,7 @@ from repro.serving.slo import _serve_summary
 from repro.sim.failures import FailurePlan
 from repro.sim.fleet import FleetSpec, InstanceSpec
 from repro.sim.summary import GenerationSummary, ServeSummary
+from tests.support import run_legacy_cluster
 
 MIX = ModelMix({"model2-lhc-trigger": 3.0, "model1-peng-isqed21": 2.0,
                 "model3-efa-trans": 1.0})
@@ -463,7 +464,7 @@ class TestRequestRecordsView:
         sim = ClusterSimulator(accel, 3, scheduler="least-loaded",
                                batching=timeout(4, 2.0),
                                reprogram_latency_ms=1.0)
-        return sim.run(reqs), sim.run_legacy(reqs).records
+        return sim.run(reqs), run_legacy_cluster(sim, reqs).records
 
     def test_len_builds_nothing(self, default_accel, built):
         kernel, legacy = self._runs(default_accel)

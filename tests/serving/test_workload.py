@@ -1,6 +1,10 @@
 """Unit tests for the serving workload generators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,57 @@ class TestTraceReplay:
         broke the engines' stable-sort merge of the arrival stream."""
         with pytest.raises(ValueError, match="finite"):
             TraceReplay([(1.0, "a"), (t, "a")])
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            TraceReplay([(1.0, "a")]).generate(math.nan)
+
+
+#: One generator per rate-driven arrival process.
+ARRIVALS = {
+    "poisson": lambda: PoissonArrivals(100.0, MIX, seed=1),
+    "bursty": lambda: BurstyArrivals(100.0, MIX, seed=1),
+    "diurnal": lambda: DiurnalArrivals(100.0, MIX, seed=1),
+}
+
+
+class TestDurationValidation:
+    """``generate`` rejects a horizon that is not positive and finite."""
+
+    @pytest.mark.parametrize("duration", [-5.0, 0.0, math.nan])
+    @pytest.mark.parametrize("kind", sorted(ARRIVALS))
+    def test_empty_horizon_rejected(self, kind, duration):
+        """Regression: these returned a plausible empty stream."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            ARRIVALS[kind]().generate(duration)
+
+    def test_infinite_horizon_rejected(self):
+        """Regression: an infinite horizon drew arrivals forever.  The
+        calls run in a child process with a timeout and a 1 GiB address
+        space, so a regression fails this test instead of hanging the
+        suite or exhausting the host's memory."""
+        code = "\n".join([
+            "import math, resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "from repro.serving import (BurstyArrivals, DiurnalArrivals,",
+            "                           ModelMix, PoissonArrivals)",
+            "mix = ModelMix('bert-variant')",
+            "for cls in (PoissonArrivals, BurstyArrivals, DiurnalArrivals):",
+            "    try:",
+            "        cls(100.0, mix, seed=1).generate(math.inf)",
+            "    except ValueError as exc:",
+            "        print(cls.__name__, exc)",
+        ])
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "PoissonArrivals", "BurstyArrivals", "DiurnalArrivals"]
+        assert all("positive and finite" in line for line in lines)
 
 
 class TestDegenerateDistributions:

@@ -1,11 +1,12 @@
 """Trace-identity goldens: kernel engines == legacy loops, byte for byte.
 
 Six seeded scenarios (Poisson/bursty/diurnal x serve/generate) run
-through both the preserved legacy closure loops (``run_legacy``) and
-the unified-kernel engines (``run``).  Each scenario's rendered report
-must be byte-identical between the two engines *and* equal to the
-committed golden under ``tests/goldens/`` — so neither engine can
-drift, and a diff in either shows up as a readable report diff.
+through both the preserved legacy closure loops
+(:mod:`tests.support.legacy`) and the unified-kernel engines
+(``run``).  Each scenario's rendered report must be byte-identical
+between the two engines *and* equal to the committed golden under
+``tests/goldens/`` — so neither engine can drift, and a diff in either
+shows up as a readable report diff.
 
 Each scenario also runs a third time with the full observability stack
 attached (trace recorder + metrics sampler + SLO watchdog + kernel
@@ -45,6 +46,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
+from tests.support import run_legacy_cluster, run_legacy_generation
 
 GOLDENS = Path(__file__).parent.parent / "goldens"
 
@@ -92,7 +94,7 @@ def test_serve_trace_identity(default_accel, scenario):
     sim = ClusterSimulator(
         default_accel, 3, scheduler="model-affinity",
         batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
-    legacy = sim.run_legacy(requests)
+    legacy = run_legacy_cluster(sim, requests)
     kernel = sim.run(requests)
     assert legacy.trace == kernel.trace
     assert legacy.records == kernel.records
@@ -133,7 +135,7 @@ def test_generate_trace_identity(default_accel, scenario):
     sim = GenerationClusterSimulator(
         default_accel, 2, slots=4, scheduler="least-loaded",
         reprogram_latency_ms=3.0)
-    legacy = sim.run_legacy(requests)
+    legacy = run_legacy_generation(sim, requests)
     kernel = sim.run(requests)
     assert legacy.trace == kernel.trace
     assert legacy.records == kernel.records

@@ -1,21 +1,19 @@
-"""The pre-kernel closure loops, preserved as reference oracles.
+"""The pre-kernel closure loops, kept as reference oracles.
 
 Before the unified kernel, :mod:`repro.serving.cluster` and
-:mod:`repro.serving.generation` each shipped a hand-rolled heap loop.
-Both survive here — and only here — because two consumers still need
-them:
+:mod:`repro.serving.generation` each ran a hand-rolled heap loop.  Both
+loops live on here, outside the shipped package, for two consumers:
 
 * the trace-identity goldens (``tests/goldens/``) replay every seeded
   scenario through both engines and byte-compare the rendered reports;
-* the kernel benchmarks measure the unified engines *against* these
-  loops (``sim_kernel_speedup_x``, ``sim_kernel_scale_x``).
+* the kernel and capacity benchmarks measure the unified engines and
+  the analytic-first planner *against* these loops
+  (``sim_kernel_speedup_x``, ``sim_kernel_scale_x``,
+  ``plan_capacity_speedup_x``).
 
 They are deliberately frozen: no fleets, no failures, no preemption,
 no observability hooks.  Anything a reference loop cannot express it
 refuses loudly, so a golden can never silently compare unlike runs.
-The hot modules keep their public ``run_legacy`` methods as one-line
-delegates into this shim — test support stays importable from where it
-always lived without the dead loops riding along in the hot paths.
 
 Both loops share :class:`_Loop`, the event-heap scaffold they used to
 duplicate: a binary heap of ``(t_ms, priority, seq, payload)`` tuples
@@ -31,8 +29,13 @@ from collections import deque
 from itertools import islice
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from ..core.runtime import RuntimeSession
-from .workload import GenerationRequest, Request
+from repro.core.runtime import RuntimeSession
+from repro.serving.cluster import (InstanceStats, RequestRecord,
+                                   SimulationResult)
+from repro.serving.generation import (GenerationInstanceStats,
+                                      GenerationRecord,
+                                      GenerationSimulationResult)
+from repro.serving.workload import GenerationRequest, Request
 
 __all__ = ["run_legacy_cluster", "run_legacy_generation"]
 
@@ -93,9 +96,7 @@ class _Instance:
         return len(self.queue) + (1 if self.busy_until > now_ms + _EPS
                                   else 0)
 
-    def stats(self):
-        from .cluster import InstanceStats
-
+    def stats(self) -> InstanceStats:
         return InstanceStats(
             index=self.idx,
             requests=self.requests,
@@ -107,22 +108,21 @@ class _Instance:
         )
 
 
-def run_legacy_cluster(sim, requests: Sequence[Request]):
-    """The pre-kernel serve loop (see :meth:`ClusterSimulator.run_legacy`).
+def run_legacy_cluster(sim, requests: Sequence[Request]) -> SimulationResult:
+    """The pre-kernel serve loop: ``sim.run(requests)`` the seed's way.
 
     ``sim`` is the :class:`~repro.serving.cluster.ClusterSimulator`
     whose configuration (batching policy, service model, reprogramming
-    penalty) the loop replays.
+    penalty) the loop replays.  The result is bit-identical to the
+    kernel's full-detail run, with ``records`` as a plain list.
     """
-    from .cluster import RequestRecord, SimulationResult
-
     if not sim.fleet.homogeneous:
         raise ValueError(
-            "run_legacy cannot simulate a heterogeneous fleet — "
+            "the legacy loop cannot simulate a heterogeneous fleet — "
             "use run() (the kernel engine)")
     if sim.failures is not None:
         raise ValueError(
-            "run_legacy cannot inject failures — use run() (the "
+            "the legacy loop cannot inject failures — use run() (the "
             "kernel engine)")
     scheduler = sim._scheduler()
     instances = [
@@ -269,9 +269,7 @@ class _GenInstance:
         """Waiting plus in-flight sequences (scheduler load signal)."""
         return len(self.queue) + len(self.active)
 
-    def stats(self):
-        from .generation import GenerationInstanceStats
-
+    def stats(self) -> GenerationInstanceStats:
         return GenerationInstanceStats(
             index=self.idx,
             requests=self.requests,
@@ -284,25 +282,25 @@ class _GenInstance:
         )
 
 
-def run_legacy_generation(sim, requests: Sequence[GenerationRequest]):
-    """The pre-kernel generation loop (see
-    :meth:`GenerationClusterSimulator.run_legacy`)."""
-    from .generation import GenerationRecord, GenerationSimulationResult
-
+def run_legacy_generation(sim, requests: Sequence[GenerationRequest]
+                          ) -> GenerationSimulationResult:
+    """The pre-kernel generation loop: ``sim.run(requests)`` the seed's
+    way, for a
+    :class:`~repro.serving.generation.GenerationClusterSimulator`."""
     if not sim.fleet.homogeneous:
         raise ValueError(
-            "run_legacy cannot simulate a heterogeneous fleet — "
+            "the legacy loop cannot simulate a heterogeneous fleet — "
             "use run() (the kernel engine)")
     if sim.failures is not None:
         raise ValueError(
-            "run_legacy cannot inject failures — use run() (the "
+            "the legacy loop cannot inject failures — use run() (the "
             "kernel engine)")
     sim._validate(requests)  # before touching .priority: a plain
     # Request workload must get the guided TypeError, not an
     # AttributeError from the priority scan below.
     if sim.preemption or any(r.priority for r in requests):
         raise ValueError(
-            "run_legacy cannot preempt — use run() (the kernel "
+            "the legacy loop cannot preempt — use run() (the kernel "
             "engine) for priority workloads")
     scheduler = sim._scheduler()
     instances = [

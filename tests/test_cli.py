@@ -275,29 +275,9 @@ class TestServePlanKnobs:
         out = capsys.readouterr().out
         assert "[analytic, unconfirmed]" in out
 
-    def test_confirm_probe_matches_default(self, capsys):
-        """Both search modes must land on the same confirmed plan."""
-        assert main(self.PLAN + ["--json"]) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(self.PLAN + ["--confirm", "probe", "--json"]) == 0
-        probe = json.loads(capsys.readouterr().out)
-        assert default["mode"] == "analytic"
-        assert probe["mode"] == "probe"
-        assert probe["instances"] == default["instances"]
-        assert (probe["report"]["latency_ms"]["p99"]
-                == default["report"]["latency_ms"]["p99"])
-        assert "analytic" not in probe
-        assert default["analytic"]["instances"] >= 1
-
-    def test_analytic_only_conflicts_with_confirm_probe(self):
-        with pytest.raises(SystemExit, match="drop one of the two"):
-            main(self.PLAN + ["--analytic-only", "--confirm", "probe"])
-
     def test_knobs_require_plan(self):
         with pytest.raises(SystemExit, match="add --plan"):
             main(["serve", "--qps", "50", "--analytic-only"])
-        with pytest.raises(SystemExit, match="add --plan"):
-            main(["serve", "--qps", "50", "--confirm", "probe"])
 
 
 class TestServeSwitchTime:
