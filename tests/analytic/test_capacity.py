@@ -15,8 +15,6 @@ import math
 
 import pytest
 
-import repro.analytic.capacity
-import repro.serving.slo
 from repro.analytic import estimate_serving, propose_fleet
 from repro.serving import (
     BurstyArrivals,
@@ -132,8 +130,8 @@ def test_plan_targets_validated_at_entry(default_accel, monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("planned a workload with invalid targets")
 
-    monkeypatch.setattr(repro.analytic.capacity, "propose_fleet", forbidden)
-    monkeypatch.setattr(repro.serving.slo, "simulate", forbidden)
+    monkeypatch.setattr("repro.analytic.capacity.propose_fleet", forbidden)
+    monkeypatch.setattr("repro.serving.slo.simulate", forbidden)
     requests = SCENARIOS["poisson"]()
     with pytest.raises(ValueError, match=message):
         plan_capacity(default_accel, requests, **targets, **PLAN_KW)
